@@ -10,12 +10,13 @@ install:
 test:
 	$(PY) -m pytest tests/
 
-# Static gates: AST hot-loop + dispatch check, then a lint smoke over
-# every builder the collective registry knows (the list is generated,
-# not hand-maintained); ruff and mypy run when installed, else are
-# skipped loudly — CI installs both, so nothing is skipped there.
+# Static gates: the codebase checkers (REPRO001 hot-loop gate and the
+# rest, via `repro check`), then a lint smoke over every builder the
+# collective registry knows (the list is generated, not hand-maintained);
+# ruff and mypy run when installed, else are skipped loudly — CI installs
+# both, so nothing is skipped there.
 lint:
-	$(PY) tools/lint_hot_loops.py
+	PYTHONPATH=src $(PY) -m repro.cli check src/repro
 	@for b in $$(PYTHONPATH=src $(PY) -m repro.cli builders --names); do \
 		echo "== lint --builder $$b"; \
 		PYTHONPATH=src $(PY) -m repro.cli lint --builder $$b || exit 1; \
@@ -28,7 +29,7 @@ lint:
 		cmp /tmp/repro_opt_out.json $$f || exit 1; \
 	done
 	@if $(PY) -m ruff --version >/dev/null 2>&1; then \
-		$(PY) -m ruff check src tests tools || exit 1; \
+		$(PY) -m ruff check src tests || exit 1; \
 	else \
 		echo "SKIP: ruff not installed (CI runs it)"; \
 	fi
@@ -38,7 +39,7 @@ lint:
 		echo "SKIP: mypy not installed (CI runs it)"; \
 	fi
 
-# Codebase checkers (REPRO001-REPRO008) over the whole package; fails
+# Codebase checkers (REPRO001, REPRO003-REPRO008) over the whole package; fails
 # on any warning.  Skips loudly when the package sources are absent
 # (e.g. a docs-only checkout) — CI always runs it for real.
 check:

@@ -4,10 +4,11 @@ and columnar schedule builders.
 Marked ``perf`` so tier-1 (``pytest tests/``) never runs these; they are
 timing-sensitive and belong in ``make bench``.  The headline acceptance
 numbers: PR-1 — on the P=256 all-to-all broadcast (65,280 sends) the
-numpy validator must beat the scalar engine by at least 5x with the
+numpy validator must beat the scalar oracle by at least 5x with the
 identical (empty) violation list; PR-2 — the columnar all-to-all builder
-must beat the per-``SendOp`` object builder by at least 5x while
-producing the identical send list.
+must beat the per-``SendOp`` oracle builder by at least 5x while
+producing the identical send list.  The slow side of every speedup is
+a pure-Python oracle from ``tests/oracles/``.
 """
 
 import sys
@@ -15,13 +16,16 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.bench import bench_all_to_all, bench_broadcast, time_call  # noqa: E402
 from repro.core.all_to_all import all_to_all_schedule  # noqa: E402
 from repro.params import postal  # noqa: E402
-from repro.sim.validate import violations  # noqa: E402
 from repro.sim.validate_np import violations_np  # noqa: E402
+
+from tests.oracles.builders import all_to_all_schedule_objects  # noqa: E402
+from tests.oracles.validate import violations_objects  # noqa: E402
 
 pytestmark = pytest.mark.perf
 
@@ -29,9 +33,7 @@ pytestmark = pytest.mark.perf
 def test_validate_np_speedup_on_p256_all_to_all():
     schedule = all_to_all_schedule(postal(P=256, L=4))
     assert len(schedule.sends) == 256 * 255 == 65_280
-    scalar_s, scalar_v = time_call(
-        lambda: violations(schedule, force_scalar=True), repeat=3
-    )
+    scalar_s, scalar_v = time_call(lambda: violations_objects(schedule), repeat=3)
     np_s, np_v = time_call(lambda: violations_np(schedule), repeat=3)
     assert scalar_v == np_v == []
     speedup = scalar_s / np_s
@@ -39,15 +41,6 @@ def test_validate_np_speedup_on_p256_all_to_all():
         f"vectorized validator only {speedup:.1f}x faster than scalar "
         f"({scalar_s:.3f}s vs {np_s:.3f}s); acceptance floor is 5x"
     )
-
-
-def test_dispatched_violations_uses_fast_path_at_scale():
-    # the public entry point must route large schedules to numpy: it may
-    # not be more than marginally slower than calling violations_np directly
-    schedule = all_to_all_schedule(postal(P=128, L=4))
-    auto_s, _ = time_call(lambda: violations(schedule), repeat=3)
-    np_s, _ = time_call(lambda: violations_np(schedule), repeat=3)
-    assert auto_s < 3 * np_s + 0.05
 
 
 def test_event_driven_machine_skips_idle_cycles():
@@ -62,11 +55,11 @@ def test_event_driven_machine_skips_idle_cycles():
 def test_columnar_build_speedup_on_p512_all_to_all():
     # PR-2 acceptance: the numpy-broadcasting builder must construct the
     # P=512 all-to-all (261,632 sends) at least 5x faster than the
-    # object-path loop, and yield the identical schedule lazily
+    # per-send oracle loop, and yield the identical schedule lazily
     params = postal(P=512, L=4)
     fast_s, fast = time_call(lambda: all_to_all_schedule(params), repeat=3)
     obj_s, oracle = time_call(
-        lambda: all_to_all_schedule(params, backend="objects"), repeat=3
+        lambda: all_to_all_schedule_objects(params), repeat=3
     )
     assert fast.num_sends == oracle.num_sends == 512 * 511
     speedup = obj_s / fast_s
@@ -78,8 +71,8 @@ def test_columnar_build_speedup_on_p512_all_to_all():
 
 
 def test_columnar_storage_is_denser_than_objects():
-    # four int64 columns = 32 bytes/send; the object path pays a list
-    # slot plus a SendOp instance per send (several times that)
+    # four int64 columns = 32 bytes/send; the materialized SendOp list
+    # pays a list slot plus a SendOp instance per send (several times that)
     row = bench_all_to_all(64, repeat=1)
     assert row["columnar_bytes_per_send"] <= 40
     assert row["object_bytes_per_send"] > 2 * row["columnar_bytes_per_send"]
@@ -94,12 +87,14 @@ def test_array_backed_validation_consumes_cached_columns():
 
 
 def test_bench_scenarios_produce_legal_schedules():
-    # bench rows double as correctness probes: validators returned empty
-    # (asserted inside), machine sends match the closed form P(P-1)
+    # bench rows double as correctness probes: the validator returned
+    # empty (asserted inside), machine sends match the closed form P(P-1)
     row = bench_all_to_all(64, repeat=1)
     assert row["sends"] == 64 * 63
     assert row["simulate_sends"] == 64 * 63
-    assert row["validate_speedup"] > 1.0
+    schedule = all_to_all_schedule(postal(P=64, L=4))
+    scalar_s, _ = time_call(lambda: violations_objects(schedule))
+    assert scalar_s / row["validate_np_s"] > 1.0
 
 
 def test_lint_sweep_under_one_second_on_p1024_all_to_all():
@@ -119,17 +114,29 @@ def test_lint_sweep_under_one_second_on_p1024_all_to_all():
 
 def test_transform_pipeline_speedup_on_p512_all_to_all():
     """PR-5 acceptance: the vectorized pass pipeline (reverse,
-    canonicalize, prune-dead-sends) must beat the object-path oracle by
-    at least 10x on the P=512 all-to-all without ever materializing a
+    canonicalize, prune-dead-sends) must beat the objects oracle by at
+    least 10x on the P=512 all-to-all without ever materializing a
     SendOp list."""
     from repro.bench import bench_transforms
 
+    from tests.oracles.transform import run_pass_objects
+
     row = bench_transforms(P=512, repeat=1)
     assert row["materialized_sendops"] == 0
-    assert row["transform_speedup"] >= 10.0, (
-        f"pass pipeline only {row['transform_speedup']:.1f}x faster than "
-        f"objects oracle ({row['transform_objects_s']:.3f}s vs "
-        f"{row['transform_np_s']:.3f}s); acceptance floor is 10x"
+    schedule = all_to_all_schedule(postal(P=512, L=4))
+
+    def run_oracles():
+        current = schedule
+        for name in row["pipeline"].split(","):
+            current = run_pass_objects(name, current)
+        return current
+
+    objects_s, _ = time_call(run_oracles)
+    speedup = objects_s / row["transform_np_s"]
+    assert speedup >= 10.0, (
+        f"pass pipeline only {speedup:.1f}x faster than objects oracle "
+        f"({objects_s:.3f}s vs {row['transform_np_s']:.3f}s); "
+        f"acceptance floor is 10x"
     )
 
 
@@ -228,7 +235,7 @@ def test_exec_lowers_and_runs_p256_broadcast_in_bounded_time():
     from repro.params import LogPParams
 
     params = LogPParams(P=256, L=4, o=1, g=2)
-    schedule = registry.plan("broadcast", params, backend="columnar")
+    schedule = registry.plan("broadcast", params)
     assert schedule.is_array_backed
     lower_s, plan = time_call(lambda: lower_schedule(schedule), repeat=3)
     assert schedule.is_array_backed  # lowering never touched .sends

@@ -23,9 +23,9 @@ Command line::
     python -m repro.cli lint schedule.json
     python -m repro.cli lint --builder bcast --P 8 --L 6 --o 2 --g 4
 
-Codebase-tier gates (mypy ``--strict`` scoping, ruff, and the
-``tools/lint_hot_loops.py`` AST checker that bans Python-level loops
-over ``.sends`` in hot modules) live in ``pyproject.toml`` and CI; this
+Codebase-tier gates (mypy ``--strict`` scoping, ruff, and checker
+REPRO001 of :mod:`repro.checkers`, which bans Python-level loops over
+``.sends`` in hot modules) live in ``pyproject.toml`` and CI; this
 package is the schedule tier.
 """
 

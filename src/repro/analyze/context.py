@@ -6,8 +6,8 @@ lookups).  :class:`LintContext` computes each of them lazily and exactly
 once per engine run, so a ten-rule sweep over a million-send schedule
 costs one availability sort, not ten.  Everything here is numpy over
 :class:`~repro.schedule.columnar.ScheduleColumns` — no rule or helper
-ever iterates ``schedule.sends`` (the AST gate in
-``tools/lint_hot_loops.py`` enforces this).
+ever iterates ``schedule.sends`` (checker REPRO001, ``repro check``,
+enforces this).
 
 Workload detection (:func:`detect_workload`) classifies the *shape* of
 the initial placement so the paper-specific rules (optimality gaps,

@@ -1,11 +1,10 @@
-"""Codebase static analysis: the REPRO001-REPRO008 convention checkers.
+"""Codebase static analysis: the REPRO convention checkers.
 
 :mod:`repro.analyze` lints *schedules* (the paper's objects);
 this package lints *the codebase that produces them*.  The conventions
 it enforces are the ones this repository's performance and correctness
 story actually rests on: the columnar hot path stays loop-free
-(REPRO001), objects-vs-numpy routing stays inside :mod:`repro.dispatch`
-(REPRO002), caches declare capacities (REPRO003), lock-guarded state
+(REPRO001), caches declare capacities (REPRO003), lock-guarded state
 stays lock-guarded (REPRO004), content-addressed bytes stay canonical
 and deterministic (REPRO005/006), registered passes declare their
 invariants (REPRO007), and CLI-reachable errors carry messages
@@ -31,7 +30,7 @@ Quick start::
 Command line::
 
     python -m repro.cli check src/repro
-    python -m repro.cli check --select REPRO001,REPRO002 src/repro/passes
+    python -m repro.cli check --select REPRO001,REPRO007 src/repro/passes
 
 Findings are suppressed per line with ``# repro: ignore[REPRO005]``;
 stale suppressions surface as REPRO000 warnings.

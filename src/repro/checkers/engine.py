@@ -33,7 +33,7 @@ from repro.checkers.diagnostics import (
 )
 from repro.checkers.registry import Checker, resolve_checkers
 
-import repro.checkers.rules  # noqa: F401  (registers REPRO001-REPRO008)
+import repro.checkers.rules  # noqa: F401  (registers the REPRO rules)
 
 __all__ = ["expand_paths", "check_context", "check_paths"]
 

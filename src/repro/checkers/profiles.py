@@ -18,9 +18,6 @@ Profiles:
     The vectorized hot path: columnar kernels and everything the < 1 s
     lint acceptance test routes through.  No Python-level loops over
     sends (REPRO001).
-``dispatch-owner``
-    :mod:`repro.dispatch` — the one module allowed to compare against
-    ``FAST_PATH_THRESHOLD``.  Everything *else* is subject to REPRO002.
 ``keying``
     Serialization / content-addressing modules whose output bytes feed
     sha-256 keys: canonical JSON only (REPRO005), no nondeterminism
@@ -43,9 +40,7 @@ __all__ = [
     "KEYING_MODULES",
     "CLI_MODULES",
     "CLI_PACKAGES",
-    "DISPATCH_OWNER",
     "BANNED_CALLS",
-    "THRESHOLD_NAME",
     "PRAGMA_SCAN_LINES",
     "classify",
     "pragma_profiles",
@@ -68,8 +63,8 @@ HOT_MODULES = [
 
 #: Whole packages that must stay free of per-send Python loops.  The
 #: pass framework promises zero SendOp materialization end to end, so
-#: every module under it is hot (the objects oracles live outside, in
-#: ``repro.schedule.transform``).
+#: every module under it is hot (the objects oracles live outside the
+#: package, in ``tests/oracles/``).
 HOT_PACKAGES = [
     "src/repro/passes",
     # per-edge pricing, composition and healing run inside the plan/lint
@@ -102,14 +97,8 @@ CLI_PACKAGES = [
     "src/repro/machine",
 ]
 
-#: The one module allowed to compare against the dispatch threshold.
-DISPATCH_OWNER = "src/repro/dispatch.py"
-
 #: Calling any of these materializes / iterates SendOp objects.
 BANNED_CALLS = frozenset({"sorted_sends", "sends_by_proc", "receives_by_proc"})
-
-#: The policy knob whose comparisons must stay inside DISPATCH_OWNER.
-THRESHOLD_NAME = "FAST_PATH_THRESHOLD"
 
 #: How many leading source lines may carry a ``# repro: profile=`` pragma.
 PRAGMA_SCAN_LINES = 10
@@ -127,8 +116,6 @@ def classify(path: str | Path) -> frozenset[str]:
         _in_package(posix, pkg) for pkg in HOT_PACKAGES
     ):
         profiles.add("hot")
-    if posix.endswith(DISPATCH_OWNER):
-        profiles.add("dispatch-owner")
     if any(posix.endswith(mod) for mod in KEYING_MODULES):
         profiles.add("keying")
     if any(posix.endswith(mod) for mod in CLI_MODULES) or any(

@@ -51,9 +51,8 @@ class Checker:
     """A registered codebase rule (id, category, severity, targets).
 
     ``profiles`` selects target files: the empty tuple applies the rule
-    to every file; a plain name requires membership in that profile; a
-    ``-``-prefixed name excludes it (``("-dispatch-owner",)`` reads
-    "everywhere except the dispatch policy module").
+    to every file; otherwise a file must belong to one of the named
+    profiles.
     """
 
     id: str
@@ -65,11 +64,7 @@ class Checker:
     profiles: tuple[str, ...] = ()
 
     def applies(self, file_profiles: frozenset[str]) -> bool:
-        required = [p for p in self.profiles if not p.startswith("-")]
-        excluded = [p[1:] for p in self.profiles if p.startswith("-")]
-        if any(p in file_profiles for p in excluded):
-            return False
-        return not required or any(p in file_profiles for p in required)
+        return not self.profiles or any(p in file_profiles for p in self.profiles)
 
 
 CHECKERS: list[Checker] = []

@@ -15,7 +15,7 @@ Usage::
     python -m repro.cli lint       <schedule.json> [--format text|json]
     python -m repro.cli lint       --builder bcast --P 8 --L 6 --o 2 --g 4
     python -m repro.cli check      src/repro [--format text|sarif]
-    python -m repro.cli check      --select REPRO001,REPRO002 src/repro/passes
+    python -m repro.cli check      --select REPRO001,REPRO007 src/repro/passes
     python -m repro.cli opt        <schedule.json> --pipeline "shift{offset=5}"
     python -m repro.cli opt        --builder all-to-all -P 1024 \
                                    --pipeline "reverse,canonicalize" --verify-each
@@ -37,7 +37,7 @@ fresh with any registered builder — with no simulation, and exits
 non-zero if anything at or above ``--fail-on`` (default: ``error``)
 fires.
 
-``check`` is the same idea one tier up: the REPRO001-REPRO008 codebase
+``check`` is the same idea one tier up: the REPRO codebase
 checkers (:mod:`repro.checkers`) sweep Python *source files* for the
 conventions this repository's performance story rests on, defaulting to
 ``--fail-on warning`` so a clean tree stays clean.
@@ -143,7 +143,7 @@ def cmd_builders(args: argparse.Namespace) -> int:
         extras = " ".join(f"--{p.name}" for p in spec.extra_params)
         aliases = f" (aka {', '.join(spec.aliases)})" if spec.aliases else ""
         print(f"{spec.name:<11} [{spec.theorem}] {spec.summary}{aliases}")
-        detail = f"    {spec.paper}; backends: {', '.join(spec.backends)}"
+        detail = f"    {spec.paper}"
         if extras:
             detail += f"; extra flags: {extras}"
         print(detail)
@@ -470,7 +470,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _rule_list(value: str | None) -> list[str] | None:
-    """Split a ``--select REPRO001,REPRO002`` spelling into rule keys."""
+    """Split a ``--select REPRO001,REPRO007`` spelling into rule keys."""
     if not value:
         return None
     return [part.strip() for part in value.split(",") if part.strip()]
@@ -516,7 +516,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
     verify = args.verify or ("errors" if args.verify_each else "off")
     try:
         schedule = _lint_target(args)
-        manager = PassManager(args.pipeline, verify=verify, backend=args.backend)
+        manager = PassManager(args.pipeline, verify=verify)
     except ValueError as exc:
         return _usage_error(str(exc))
     try:
@@ -885,12 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("errors", "all", "off"),
         default=None,
         help="verification mode (overrides --verify-each)",
-    )
-    p.add_argument(
-        "--backend",
-        choices=("objects", "numpy", "columnar"),
-        default=None,
-        help="force the dispatch backend for every pass",
     )
     p.add_argument(
         "--out",

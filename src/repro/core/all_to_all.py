@@ -88,10 +88,6 @@ def k_item_all_to_all_lower_bound(params: LogPParams, k: int) -> int:
     return params.send_cost + (k * (params.P - 1) - 1) * params.g
 
 
-def _default_orders(P: int) -> list[list[int]]:
-    return [[(i + d) % P for d in range(1, P)] for i in range(P)]
-
-
 def _check_orders(P: int, orders: Sequence[Sequence[int]]) -> None:
     if len(orders) != P:
         raise ValueError(f"need one permutation per processor, got {len(orders)}")
@@ -113,7 +109,7 @@ def _check_orders(P: int, orders: Sequence[Sequence[int]]) -> None:
 def _cyclic_grid(P: int, gp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(srcs, slots, times)`` for one round of the cyclic schedule.
 
-    Send order matches the object-path loops: source-major, then slot.
+    Send order is source-major, then slot.
     """
     srcs = np.repeat(np.arange(P, dtype=np.int64), P - 1)
     slots = np.tile(np.arange(P - 1, dtype=np.int64), P)
@@ -123,19 +119,14 @@ def _cyclic_grid(P: int, gp: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def all_to_all_schedule(
     params: LogPParams,
     orders: Sequence[Sequence[int]] | None = None,
-    *,
-    backend: str = "columnar",
 ) -> Schedule:
     """Optimal all-to-all broadcast: item ``("a2a", i)`` starts at proc ``i``.
 
     ``orders[i]`` is the destination sequence of processor ``i``; the
     default is the paper's cyclic ``i+1, ..., i+P-1 (mod P)``.  Custom
     orders are validated for the round-collision-freedom criterion the
-    paper states.
-
-    ``backend="columnar"`` (the default) builds the array-backed schedule
-    with numpy broadcasting — no per-send Python loop; ``"objects"`` is
-    the original loop, kept as the property-tested oracle.
+    paper states.  The array-backed schedule is built with numpy
+    broadcasting — no per-send Python loop.
     """
     P = params.P
     if P < 2:
@@ -144,16 +135,6 @@ def all_to_all_schedule(
         _check_orders(P, orders)
     gp = interleaving_gap(params)
     initial = {i: {("a2a", i)} for i in range(P)}
-    if backend == "objects":
-        if orders is None:
-            orders = _default_orders(P)
-        schedule = Schedule(params=params, initial=initial)
-        for i in range(P):
-            for slot, dst in enumerate(orders[i]):
-                schedule.add(time=slot * gp, src=i, dst=dst, item=("a2a", i))
-        return schedule
-    if backend != "columnar":
-        raise ValueError(f"unknown backend {backend!r}")
     srcs, slots, times = _cyclic_grid(P, gp)
     if orders is None:
         dsts = (srcs + 1 + slots) % P
@@ -170,9 +151,7 @@ def all_to_all_schedule(
     )
 
 
-def all_to_all_personalized_schedule(
-    params: LogPParams, *, backend: str = "columnar"
-) -> Schedule:
+def all_to_all_personalized_schedule(params: LogPParams) -> Schedule:
     """All-to-all personalized communication: item ``("p2p", i, j)`` goes
     from ``i`` to ``j`` only.  Same timing as the broadcast schedule."""
     P = params.P
@@ -180,17 +159,6 @@ def all_to_all_personalized_schedule(
         i: {("p2p", i, j) for j in range(P) if j != i} for i in range(P)
     }
     gp = interleaving_gap(params)
-    if backend == "objects":
-        schedule = Schedule(params=params, initial=initial)
-        for i in range(P):
-            for slot in range(P - 1):
-                dst = (i + 1 + slot) % P
-                schedule.add(
-                    time=slot * gp, src=i, dst=dst, item=("p2p", i, dst)
-                )
-        return schedule
-    if backend != "columnar":
-        raise ValueError(f"unknown backend {backend!r}")
     if P < 2:
         return Schedule(params=params, initial=initial or {0: set()})
     srcs, slots, times = _cyclic_grid(P, gp)
@@ -210,9 +178,7 @@ def all_to_all_personalized_schedule(
     )
 
 
-def k_item_all_to_all_schedule(
-    params: LogPParams, k: int, *, backend: str = "columnar"
-) -> Schedule:
+def k_item_all_to_all_schedule(params: LogPParams, k: int) -> Schedule:
     """``k`` repetitions of the cyclic schedule: optimal k-item all-to-all."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -221,22 +187,6 @@ def k_item_all_to_all_schedule(
     if P < 2:
         return Schedule(params=params, initial=initial)
     gp = interleaving_gap(params)
-    if backend == "objects":
-        schedule = Schedule(params=params, initial=initial)
-        for copy in range(k):
-            base = copy * (P - 1) * gp
-            for i in range(P):
-                for slot in range(P - 1):
-                    dst = (i + 1 + slot) % P
-                    schedule.add(
-                        time=base + slot * gp,
-                        src=i,
-                        dst=dst,
-                        item=("a2a", i, copy),
-                    )
-        return schedule
-    if backend != "columnar":
-        raise ValueError(f"unknown backend {backend!r}")
     round_sends = P * (P - 1)
     copies = np.repeat(np.arange(k, dtype=np.int64), round_sends)
     srcs1, slots1, times1 = _cyclic_grid(P, gp)

@@ -31,15 +31,11 @@ def schedule_from_tree(
     item: object = 0,
     start_time: int = 0,
     proc_map: dict[int, int] | None = None,
-    *,
-    backend: str = "columnar",
 ) -> Schedule:
     """Expand a broadcast tree into an explicit schedule.
 
-    The default backend emits all sends as one numpy batch (node ``i``'s
-    ``j``-th send starts at ``delay_i + j*g``) into an array-backed
-    schedule; ``backend="objects"`` is the original per-send loop, kept
-    as the oracle.
+    All sends are emitted as one numpy batch (node ``i``'s ``j``-th send
+    starts at ``delay_i + j*g``) into an array-backed schedule.
 
     Parameters
     ----------
@@ -55,24 +51,6 @@ def schedule_from_tree(
     """
     params = tree.params
     g = params.g
-    if backend == "objects":
-        proc = (lambda i: i) if proc_map is None else (lambda i: proc_map[i])
-        schedule = Schedule(
-            params=params,
-            initial={proc(0): {item}},
-            source_items={item: start_time},
-        )
-        for node in tree.nodes:
-            for j, child in enumerate(node.children):
-                schedule.add(
-                    time=start_time + node.delay + j * g,
-                    src=proc(node.index),
-                    dst=proc(child),
-                    item=item,
-                )
-        return schedule
-    if backend != "columnar":
-        raise ValueError(f"unknown backend {backend!r}")
     n_nodes = len(tree.nodes)
     degrees = np.fromiter(
         (len(node.children) for node in tree.nodes), dtype=np.int64, count=n_nodes

@@ -18,17 +18,22 @@ when verification is on):
     newly *introduced* lint errors are the pass's fault.
 
 ``preserves_completion``
-    The output's completion time **relative to its start time** (the
-    makespan) equals the input's.  Measured relative so that pure time
-    translation (``shift``) preserves it; passes that genuinely change
-    the critical path (``concat``, ``restrict``, ``prune-dead-sends``,
-    ``compact-time``) declare ``False``.
+    The output's completion time (last payload arrival or end of the
+    last local computation, as in :func:`repro.registry.completion`)
+    **relative to its start time** (the makespan) equals the input's.
+    Measured relative so that pure time translation (``shift``)
+    preserves it; passes that genuinely change the critical path
+    (``concat``, ``restrict``, ``prune-dead-sends``, ``compact-time``)
+    declare ``False``.
 
-Backends: every pass dispatches between a vectorized columnar kernel
-(:mod:`repro.passes.kernels`) and the pure-Python objects oracle kept in
-:mod:`repro.schedule.transform`.  The decision is owned by
-:mod:`repro.dispatch`; ``backend=`` on the pass constructor overrides it
-per instance.
+Every pass runs a vectorized columnar kernel
+(:mod:`repro.passes.kernels`); the pure-Python oracles the kernels are
+property-tested against live in ``tests/oracles/transform.py``.
+
+Local computations (``Schedule.computes``, the summation schedules'
+reductions) ride along through ``shift``, ``remap``, ``canonicalize``
+and ``prune-dead-sends``.  Passes that cannot carry them call
+:func:`refuse_computes`, so a schedule never silently loses them.
 """
 
 from __future__ import annotations
@@ -36,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, TypeVar
 
-from repro import dispatch as _dispatch
 from repro.schedule.ops import Schedule
 
 if TYPE_CHECKING:  # implicit IR is optional at runtime for this module
@@ -46,6 +50,7 @@ __all__ = [
     "SchedulePass",
     "PassSpec",
     "refuse_implicit",
+    "refuse_computes",
     "register_pass",
     "get_pass_cls",
     "get_pass_spec",
@@ -76,8 +81,7 @@ class SchedulePass:
     #: Output makespan (completion minus start time) equals the input's.
     preserves_completion: ClassVar[bool] = True
 
-    def __init__(self, backend: str | None = None):
-        self.backend = backend
+    def __init__(self) -> None:
         self.stats: dict[str, Any] = {}
 
     def params(self) -> dict[str, Any]:
@@ -91,14 +95,6 @@ class SchedulePass:
             return self.name
         inner = ",".join(f"{key}={value}" for key, value in params.items())
         return f"{self.name}{{{inner}}}"
-
-    def _use_numpy(self, schedule: Schedule) -> bool:
-        """Ask the dispatch policy whether to run the columnar kernel."""
-        if schedule.machine is not None and not schedule.machine.is_flat:
-            # the objects oracles price every send with the flat params;
-            # machine schedules must take the per-edge columnar kernels
-            return True
-        return _dispatch.use_numpy(schedule.num_sends, override=self.backend)
 
     def run(self, schedule: Schedule) -> Schedule:
         """Apply the pass; returns a new schedule, never mutates input."""
@@ -120,8 +116,7 @@ class SchedulePass:
         )
 
     def __repr__(self) -> str:
-        backend = f", backend={self.backend!r}" if self.backend else ""
-        return f"<{type(self).__name__} {self.describe()}{backend}>"
+        return f"<{type(self).__name__} {self.describe()}>"
 
 
 def refuse_implicit(
@@ -151,6 +146,21 @@ def refuse_implicit(
         )
 
     return run_implicit
+
+
+def refuse_computes(pass_name: str, schedule: Schedule) -> None:
+    """Raise a one-line ``ValueError`` if ``schedule`` has computes.
+
+    Called first by the passes whose rewrite has no meaning for local
+    computations (time reversal, composition, restriction, compaction,
+    healing): dropping them would silently change the schedule's
+    completion time.
+    """
+    if schedule.computes:
+        raise ValueError(
+            f"pass {pass_name!r} cannot carry the schedule's "
+            f"{len(schedule.computes)} local computations (Schedule.computes)"
+        )
 
 
 @dataclass(frozen=True)

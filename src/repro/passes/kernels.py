@@ -7,9 +7,8 @@ array-backed :class:`~repro.schedule.ops.Schedule` via
 so a pipeline over the P=1024 all-to-all (~1M sends) stays in numpy end
 to end.  The pure-Python oracles with identical observable behaviour
 (byte-identical serialized JSON, property-tested) live in
-:mod:`repro.schedule.transform`; the AST gate in
-``tools/lint_hot_loops.py`` keeps per-send Python loops out of this
-package.
+``tests/oracles/transform.py``; checker REPRO001 (``repro check``)
+keeps per-send Python loops out of this package.
 
 Column arrays are treated as immutable, so kernels share the input's
 arrays and :class:`~repro.schedule.columnar.ItemTable` whenever a column
@@ -20,6 +19,7 @@ columns), not O(schedule).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -42,11 +42,11 @@ __all__ = [
 
 Item = Hashable
 
-#: Shared shift-guard message.  Both backends raise it at transform time
-#: (the objects oracle imports it; ``repro.schedule.implicit`` keeps a
-#: textually identical copy, pinned equal by the test suite) so a
-#: negative-time schedule can never silently materialize and only fail
-#: later at lint time.
+#: Shared shift-guard message, raised at transform time (the objects
+#: oracle imports it; ``repro.schedule.implicit`` keeps a textually
+#: identical copy, pinned equal by the test suite) so a negative-time
+#: schedule can never silently materialize and only fail later at lint
+#: time.
 SHIFT_BEFORE_ZERO = "shift would move a send or item creation before cycle 0"
 
 
@@ -80,6 +80,7 @@ def shift_columns(schedule: Schedule, offset: int) -> Schedule:
     """Columnar :func:`repro.schedule.transform.shift`."""
     cols = schedule.columns()
     floor = list(schedule.source_items.values())
+    floor.extend(op.time for op in schedule.computes)
     if len(cols):
         floor.append(int(cols.times.min()))
     if floor and min(floor) + offset < 0:
@@ -92,6 +93,7 @@ def shift_columns(schedule: Schedule, offset: int) -> Schedule:
         cols.items,
         cols.table,
         initial=_copy_initial(schedule),
+        computes=[replace(op, time=op.time + offset) for op in schedule.computes],
         source_items={
             item: when + offset for item, when in schedule.source_items.items()
         },
@@ -103,6 +105,7 @@ def remap_columns(schedule: Schedule, mapping: Mapping[int, int]) -> Schedule:
     """Columnar :func:`repro.schedule.transform.remap`."""
     cols = schedule.columns()
     used = set(schedule.initial)
+    used.update(op.proc for op in schedule.computes)
     if len(cols):
         used.update(np.union1d(cols.srcs, cols.dsts).tolist())
     image = {mapping.get(p, p) for p in used}
@@ -124,6 +127,10 @@ def remap_columns(schedule: Schedule, mapping: Mapping[int, int]) -> Schedule:
             mapping.get(p, p): set(items)
             for p, items in schedule.initial.items()
         },
+        computes=[
+            replace(op, proc=mapping.get(op.proc, op.proc))
+            for op in schedule.computes
+        ],
         source_items=dict(schedule.source_items),
         machine=schedule.machine,
     )
@@ -269,6 +276,7 @@ def canonicalize_columns(schedule: Schedule) -> tuple[Schedule, int]:
             new_code_of[inverse],
             table,
             initial=_copy_initial(schedule),
+            computes=list(schedule.computes),
             source_items=dict(schedule.source_items),
             machine=schedule.machine,
         ),
@@ -302,6 +310,7 @@ def prune_dead_sends_columns(schedule: Schedule) -> tuple[Schedule, int]:
             cols.items[alive],
             cols.table,
             initial=_copy_initial(schedule),
+            computes=list(schedule.computes),
             source_items=dict(schedule.source_items),
             machine=schedule.machine,
         ),

@@ -39,8 +39,8 @@ class LowerPass(SchedulePass):
     preserves_legality: ClassVar[bool] = True
     preserves_completion: ClassVar[bool] = True
 
-    def __init__(self, backend: str | None = None):
-        super().__init__(backend=backend)
+    def __init__(self) -> None:
+        super().__init__()
         self.plan: "ExecPlan | None" = None
 
     def _record(self, plan: "ExecPlan") -> None:

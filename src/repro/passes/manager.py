@@ -63,11 +63,21 @@ class PassRecord:
 
 
 def _makespan(schedule: Schedule) -> int:
-    """Completion time minus start time (0 for an empty schedule)."""
+    """Completion time minus start time (0 for an empty schedule).
+
+    Local computations count on both ends, as in
+    :func:`repro.registry.completion`: the end of the last one can be
+    the completion time, and the first one can start before any send.
+    """
     cols = schedule.columns()
-    if len(cols) == 0:
+    starts = [op.time for op in schedule.computes]
+    ends = [op.time + op.duration for op in schedule.computes]
+    if len(cols):
+        starts.append(int(cols.times.min()))
+        ends.append(int(cols.arrivals.max()))
+    if not starts:
         return 0
-    return int(cols.arrivals.max()) - int(cols.times.min())
+    return max(ends) - min(starts)
 
 
 class PassManager:
@@ -77,17 +87,15 @@ class PassManager:
     pipeline text for :func:`repro.passes.pipeline.parse_pipeline`.
     ``verify`` is ``"errors"`` (default: re-lint SCHED001-003 after each
     pass), ``"all"`` (run every lint rule; reports carry warnings too,
-    but only *introduced* errors fail), or ``"off"``.  ``backend``
-    forces the dispatch override onto every pass that does not already
-    carry one.  After :meth:`run`, :attr:`records` holds one
-    :class:`PassRecord` per executed pass.
+    but only *introduced* errors fail), or ``"off"``.  After
+    :meth:`run`, :attr:`records` holds one :class:`PassRecord` per
+    executed pass.
     """
 
     def __init__(
         self,
         passes: list[SchedulePass] | str,
         verify: str = "errors",
-        backend: str | None = None,
     ):
         if verify not in ("errors", "all", "off"):
             raise ValueError(
@@ -95,10 +103,6 @@ class PassManager:
             )
         self.passes = parse_pipeline(passes) if isinstance(passes, str) else list(passes)
         self.verify = verify
-        if backend is not None:
-            for p in self.passes:
-                if p.backend is None:
-                    p.backend = backend
         self.records: list[PassRecord] = []
 
     def _lint(self, schedule: Schedule) -> "LintReport":
@@ -174,7 +178,6 @@ def run_pipeline(
     pipeline: str | list[SchedulePass],
     schedule: Schedule,
     verify: str = "off",
-    backend: str | None = None,
 ) -> Schedule:
     """One-shot convenience: build a manager, run it, return the result."""
-    return PassManager(pipeline, verify=verify, backend=backend).run(schedule)
+    return PassManager(pipeline, verify=verify).run(schedule)

@@ -5,9 +5,8 @@ name and aliases, the builder behind a *normalized* keyword schema
 (machine parameters always travel as a :class:`~repro.params.LogPParams`;
 per-collective extras like ``k``/``n``/``t`` are declared as
 :class:`ParamField`\\ s with domains), the closed-form lower bound and
-its optimality-theorem tag, the storage backends the builder implements,
-and — for the static analyzer — the workload shape whose SCHED008
-closed form this spec owns.
+its optimality-theorem tag, and — for the static analyzer — the
+workload shape whose SCHED008 closed form this spec owns.
 
 The records themselves live in :mod:`repro.registry.specs`; the lookup
 and the :func:`~repro.registry.plan` entry point live in
@@ -72,7 +71,7 @@ class CollectiveSpec:
     summary: str
     paper: str  # paper section / figure reference
     theorem: str  # optimality theorem tag
-    build: Callable[..., Schedule]  # build(params, **extra[, backend=...])
+    build: Callable[..., Schedule]  # build(params, **extra)
     #: Optional O(log P)-state builder returning a
     #: ``repro.schedule.implicit.ImplicitSchedule`` (typed ``Any`` to keep
     #: this module import-light); reached via ``plan(storage="implicit")``.
@@ -84,7 +83,6 @@ class CollectiveSpec:
     ) = None
     lower_bound: Callable[..., int] | None = None  # lower_bound(params, **extra)
     tight: Callable[..., bool] | None = None  # construction meets the bound?
-    backends: tuple[str, ...] = ("objects",)
     #: The builder accepts a ``machine=`` topology (a
     #: ``repro.machine.model.MachineModel``, routed outside the int-only
     #: ``extra_params`` validation).  Non-aware specs reject non-flat

@@ -72,8 +72,8 @@ def _require_processors(name: str, params: LogPParams, minimum: int) -> None:
 # -- single-item broadcast (Section 2, Theorem 2.1) ----------------------
 
 
-def _build_broadcast(params: LogPParams, *, backend: str = "columnar") -> Schedule:
-    return schedule_from_tree(optimal_tree(params), backend=backend)
+def _build_broadcast(params: LogPParams) -> Schedule:
+    return schedule_from_tree(optimal_tree(params))
 
 
 def _broadcast_lint_bound(q: BoundQuery) -> tuple[int, str] | None:
@@ -149,10 +149,8 @@ def _build_continuous(params: LogPParams, *, k: int) -> Schedule:
 # -- all-to-all broadcast (Section 4.1) ----------------------------------
 
 
-def _build_all_to_all(
-    params: LogPParams, *, backend: str = "columnar"
-) -> Schedule:
-    return all_to_all_schedule(params, backend=backend)
+def _build_all_to_all(params: LogPParams) -> Schedule:
+    return all_to_all_schedule(params)
 
 
 def _a2a_lint_bound(q: BoundQuery) -> tuple[int, str] | None:
@@ -365,7 +363,6 @@ SPECS: tuple[CollectiveSpec, ...] = (
         check_machine=lambda p: _require_processors("broadcast", p, 1),
         lower_bound=lambda params: broadcast_time(params.P, params),
         tight=_always,
-        backends=("columnar", "objects"),
         workload=_BROADCAST,
         lint_bound=_broadcast_lint_bound,
         figures=(("1", "fig1_single_item"),),
@@ -430,7 +427,6 @@ SPECS: tuple[CollectiveSpec, ...] = (
         check_machine=lambda p: _require_processors("all-to-all", p, 2),
         lower_bound=all_to_all_lower_bound,
         tight=lambda params: is_tight(params),
-        backends=("columnar", "objects"),
         workload=_SCATTERED,
         lint_bound=_a2a_lint_bound,
         sample_cases=(
@@ -504,7 +500,6 @@ SPECS: tuple[CollectiveSpec, ...] = (
         build=_build_hier_broadcast,
         check_machine=lambda p: _require_processors("hier-bcast", p, 1),
         lower_bound=_hier_lower_bound,
-        backends=("columnar",),
         machine_aware=True,
         sample_cases=(
             {"P": 8, "L": 6, "o": 2, "g": 4},
@@ -521,7 +516,6 @@ SPECS: tuple[CollectiveSpec, ...] = (
         build=_build_hier_reduction,
         check_machine=lambda p: _require_processors("hier-reduce", p, 1),
         lower_bound=_hier_lower_bound,
-        backends=("columnar",),
         machine_aware=True,
         sample_cases=(
             {"P": 8, "L": 6, "o": 2, "g": 4},

@@ -4,20 +4,18 @@ These helpers are *descriptive* — they compute when items become available
 under the IR's timing convention without judging legality.  Legality
 checking lives in :mod:`repro.sim.validate`.
 
-Large schedules are routed through the vectorized kernels in
-:mod:`repro.schedule.analysis_np`; results are identical
-(property-tested).  The objects-vs-numpy decision is owned by
-:mod:`repro.dispatch` — pass ``backend="objects"``/``"numpy"`` to any
-helper here to override the process-wide policy for one call.
+Every helper reads the schedule's cached column view through the
+vectorized kernels in :mod:`repro.schedule.analysis_np`, so per-edge
+arrival times on hierarchical machines are priced the same way the
+validator and lint price them.
 """
 
 from __future__ import annotations
 
 from typing import Hashable
 
-from repro import dispatch as _dispatch
 from repro.schedule import analysis_np as _np_kernels
-from repro.schedule.ops import Schedule, SendOp
+from repro.schedule.ops import Schedule
 
 __all__ = [
     "availability",
@@ -31,9 +29,7 @@ __all__ = [
 Item = Hashable
 
 
-def availability(
-    schedule: Schedule, backend: str | None = None
-) -> dict[tuple[int, Item], int]:
+def availability(schedule: Schedule) -> dict[tuple[int, Item], int]:
     """Map ``(proc, item) -> earliest cycle the item is available there``.
 
     Initial placements are available at time 0 (or at the item's creation
@@ -41,62 +37,23 @@ def availability(
     destination at ``time + L + 2o``.  If an item reaches a processor more
     than once, the earliest arrival wins.
     """
-    if schedule.machine is not None and not schedule.machine.is_flat:
-        # per-edge arrivals live in the column view; the scalar loop
-        # below prices every send with the flat params
-        return _np_kernels.availability_np(schedule)
-    if _dispatch.use_numpy(schedule.num_sends, override=backend):
-        return _np_kernels.availability_np(schedule)
-    avail: dict[tuple[int, Item], int] = {}
-    for proc, items in schedule.initial.items():
-        for item in items:
-            created = schedule.item_creation_time(item)
-            key = (proc, item)
-            avail[key] = min(avail.get(key, created), created)
-    for op in schedule.sends:
-        arrival = op.arrival(schedule.params)
-        key = (op.dst, op.item)
-        if key not in avail or arrival < avail[key]:
-            avail[key] = arrival
-    return avail
+    return _np_kernels.availability_np(schedule)
 
 
-def completion_time(schedule: Schedule, backend: str | None = None) -> int:
+def completion_time(schedule: Schedule) -> int:
     """Cycle at which the last payload lands (0 for an empty schedule)."""
-    if not schedule.num_sends:
-        return 0
-    if schedule.machine is not None and not schedule.machine.is_flat:
-        return _np_kernels.completion_time_np(schedule.columns())
-    if _dispatch.use_numpy(schedule.num_sends, override=backend):
-        return _np_kernels.completion_time_np(schedule.columns())
-    return max(op.arrival(schedule.params) for op in schedule.sends)
+    return _np_kernels.completion_time_np(schedule.columns())
 
 
 def item_completion_times(
-    schedule: Schedule,
-    procs: set[int] | None = None,
-    backend: str | None = None,
+    schedule: Schedule, procs: set[int] | None = None
 ) -> dict[Item, int]:
     """Map item -> cycle by which *every* processor in ``procs`` holds it.
 
     ``procs`` defaults to every processor mentioned by the schedule.
     Raises ``ValueError`` if some item never reaches some processor.
     """
-    if procs is None:
-        procs = schedule.processors()
-    if _dispatch.use_numpy(schedule.num_sends, override=backend):
-        return _np_kernels.item_completion_times_np(schedule, procs)
-    avail = availability(schedule)
-    out: dict[Item, int] = {}
-    for item in schedule.items():
-        worst = 0
-        for proc in procs:
-            when = avail.get((proc, item))
-            if when is None:
-                raise ValueError(f"item {item!r} never reaches processor {proc}")
-            worst = max(worst, when)
-        out[item] = worst
-    return out
+    return _np_kernels.item_completion_times_np(schedule, procs)
 
 
 def item_delays(schedule: Schedule, procs: set[int] | None = None) -> dict[Item, int]:
@@ -118,13 +75,6 @@ def max_delay(schedule: Schedule, procs: set[int] | None = None) -> int:
     return max(delays.values()) if delays else 0
 
 
-def broadcast_delay_per_proc(
-    schedule: Schedule, item: Item = 0, backend: str | None = None
-) -> dict[int, int]:
+def broadcast_delay_per_proc(schedule: Schedule, item: Item = 0) -> dict[int, int]:
     """For a single-item broadcast: map proc -> time it first holds ``item``."""
-    if _dispatch.use_numpy(schedule.num_sends, override=backend):
-        return _np_kernels.broadcast_delay_np(schedule, item)
-    avail = availability(schedule)
-    return {
-        proc: when for (proc, it), when in avail.items() if it == item
-    }
+    return _np_kernels.broadcast_delay_np(schedule, item)

@@ -1,12 +1,11 @@
-"""Vectorized (numpy) schedule analysis for large schedules.
+"""Vectorized (numpy) schedule analysis: the kernels behind
+:mod:`repro.schedule.analysis`.
 
-The pure-Python helpers in :mod:`repro.schedule.analysis` are fine for
-the paper-scale instances; sweeping thousands of processors or long
-continuous windows (hundreds of thousands of sends) wants vectorization.
-These functions return the same values as their scalar counterparts
-(property-tested) but operate on column arrays.  Routing between the
-scalar and vectorized paths is owned by :mod:`repro.dispatch` (one
-:class:`~repro.dispatch.DispatchPolicy` for the whole library).
+These functions operate on column arrays, so sweeping thousands of
+processors or long continuous windows (hundreds of thousands of sends)
+stays in numpy.  The per-send loops in ``tests/oracles/analysis.py``
+are their differential oracle (property-tested to return the same
+values).
 
 Columns live in :mod:`repro.schedule.columnar` and are cached *on the
 schedule* (:meth:`repro.schedule.ops.Schedule.columns`), so repeated
@@ -88,7 +87,7 @@ def _id_to_item(item_ids: dict[Hashable, int]) -> list[Hashable]:
 
 
 def availability_np(schedule: Schedule) -> dict[tuple[int, Hashable], int]:
-    """Vectorized :func:`repro.schedule.analysis.availability` (same dict)."""
+    """Kernel of :func:`repro.schedule.analysis.availability` (same dict)."""
     keys, times, item_ids, n_items = availability_arrays(schedule)
     if n_items == 0:
         return {}
@@ -104,7 +103,7 @@ def availability_np(schedule: Schedule) -> dict[tuple[int, Hashable], int]:
 def item_completion_times_np(
     schedule: Schedule, procs: set[int] | None = None
 ) -> dict[Hashable, int]:
-    """Vectorized :func:`repro.schedule.analysis.item_completion_times`."""
+    """Kernel of :func:`repro.schedule.analysis.item_completion_times`."""
     if procs is None:
         procs = schedule.processors()
     keys, times, item_ids, n_items = availability_arrays(schedule)
@@ -134,7 +133,7 @@ def item_completion_times_np(
 
 
 def broadcast_delay_np(schedule: Schedule, item: Hashable = 0) -> dict[int, int]:
-    """Vectorized :func:`repro.schedule.analysis.broadcast_delay_per_proc`."""
+    """Kernel of :func:`repro.schedule.analysis.broadcast_delay_per_proc`."""
     keys, times, item_ids, n_items = availability_arrays(schedule)
     iid = item_ids.get(item)
     if iid is None:

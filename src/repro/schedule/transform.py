@@ -1,14 +1,10 @@
 """Schedule transformations: shift, remap, reverse, compose, restrict.
 
-Since PR 5 the public functions here are thin shims over the pass
-framework (:mod:`repro.passes`): each builds the corresponding
-registered pass and runs it, so large schedules automatically take the
-vectorized columnar kernels while small ones stay on plain objects (the
-decision belongs to :mod:`repro.dispatch`; ``backend=`` overrides it per
-call).  The ``*_objects`` functions below are the pure-Python oracles —
-the executable specification the kernels are property-tested against
-(byte-identical canonical JSON) — and are what the passes run on the
-objects path.
+The public functions here are thin shims over the pass framework
+(:mod:`repro.passes`): each builds the corresponding registered pass and
+runs it, so every transform is one of the vectorized columnar kernels in
+:mod:`repro.passes.kernels`.  Their pure-Python oracles live in
+``tests/oracles/transform.py``.
 
 Algebraic properties (verified by replaying transformed schedules):
 
@@ -30,10 +26,8 @@ Algebraic properties (verified by replaying transformed schedules):
 
 from __future__ import annotations
 
-import bisect
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
-from repro.passes.kernels import SHIFT_BEFORE_ZERO, merge_source_items
 from repro.passes.library import (
     ConcatPass,
     RemapPass,
@@ -41,55 +35,46 @@ from repro.passes.library import (
     ReversePass,
     ShiftPass,
 )
-from repro.schedule.analysis import availability
-from repro.schedule.ops import Schedule, SendOp
+from repro.schedule.ops import Schedule
 
 __all__ = ["shift", "remap", "reverse", "concat", "restrict"]
 
 Item = Hashable
 
 
-def shift(schedule: Schedule, offset: int, backend: str | None = None) -> Schedule:
-    """Translate every send (and source-item creation) by ``offset``.
+def shift(schedule: Schedule, offset: int) -> Schedule:
+    """Translate every send, local computation and source-item creation
+    by ``offset``.
 
-    ``offset`` may be negative as long as no send *or item creation*
-    would land before cycle 0 (both backends raise the same
-    ``ValueError`` at transform time).
+    ``offset`` may be negative as long as nothing would land before
+    cycle 0 (a ``ValueError`` is raised at transform time).
     """
-    return ShiftPass(offset, backend=backend).run(schedule)
+    return ShiftPass(offset).run(schedule)
 
 
-def remap(
-    schedule: Schedule, mapping: Mapping[int, int], backend: str | None = None
-) -> Schedule:
+def remap(schedule: Schedule, mapping: Mapping[int, int]) -> Schedule:
     """Rename processors; ``mapping`` must be injective on those used."""
-    return RemapPass(mapping=mapping, backend=backend).run(schedule)
+    return RemapPass(mapping=mapping).run(schedule)
 
 
 def reverse(
-    schedule: Schedule,
-    item_of: Callable[[SendOp], Item] | None = None,
-    initial: dict[int, set[Item]] | None = None,
-    backend: str | None = None,
+    schedule: Schedule, initial: dict[int, set[Item]] | None = None
 ) -> Schedule:
     """Time-reverse around the completion time, swapping directions.
 
     A message sent at ``s`` (received at ``s + L + 2o``) becomes one sent
     at ``C - (s + L + 2o)`` from the old receiver to the old sender,
-    where ``C`` is the completion time.  ``item_of`` relabels items (the
-    default tags them ``("rev", old_dst)`` — the partial-sum convention
-    of the reduction correspondence; custom labelling runs on the objects
-    oracle); ``initial`` overrides the reversed schedule's initial
+    where ``C`` is the completion time.  Items are tagged
+    ``("rev", old_dst)`` — the partial-sum convention of the reduction
+    correspondence; ``initial`` overrides the reversed schedule's initial
     placement (default: every processor holds the items it will send).
     The result's ``source_items`` record each reversed item's earliest
     send time, so causality re-validation stays meaningful.
     """
-    return ReversePass(initial=initial, item_of=item_of, backend=backend).run(
-        schedule
-    )
+    return ReversePass(initial=initial).run(schedule)
 
 
-def concat(first: Schedule, second: Schedule, backend: str | None = None) -> Schedule:
+def concat(first: Schedule, second: Schedule) -> Schedule:
     """Sequential composition: ``second`` starts after ``first`` finishes.
 
     The boundary spacing is ``max(g, o)`` cycles after the last arrival,
@@ -101,255 +86,9 @@ def concat(first: Schedule, second: Schedule, backend: str | None = None) -> Sch
     present in both schedules with different creation times raise
     ``ValueError`` instead of being silently overwritten.
     """
-    return ConcatPass(second, backend=backend).run(first)
+    return ConcatPass(second).run(first)
 
 
-def restrict(
-    schedule: Schedule, procs: Iterable[int], backend: str | None = None
-) -> Schedule:
+def restrict(schedule: Schedule, procs: Iterable[int]) -> Schedule:
     """Keep only messages whose both endpoints lie in ``procs``."""
-    return RestrictPass(procs, backend=backend).run(schedule)
-
-
-# --------------------------------------------------------------------------
-# Objects oracles.  Pure-Python reference implementations; the columnar
-# kernels in repro.passes.kernels are property-tested byte-identical
-# against these.  Not part of the public API (use the shims above).
-# --------------------------------------------------------------------------
-
-
-def shift_objects(schedule: Schedule, offset: int) -> Schedule:
-    """Objects oracle for :func:`shift`."""
-    floor = list(schedule.source_items.values())
-    if schedule.sends:
-        floor.append(min(op.time for op in schedule.sends))
-    if floor and min(floor) + offset < 0:
-        raise ValueError(SHIFT_BEFORE_ZERO)
-    return Schedule(
-        params=schedule.params,
-        sends=[
-            SendOp(time=op.time + offset, src=op.src, dst=op.dst, item=op.item)
-            for op in schedule.sends
-        ],
-        initial={p: set(items) for p, items in schedule.initial.items()},
-        source_items={
-            item: when + offset for item, when in schedule.source_items.items()
-        },
-        machine=schedule.machine,
-    )
-
-
-def remap_objects(schedule: Schedule, mapping: Mapping[int, int]) -> Schedule:
-    """Objects oracle for :func:`remap`."""
-    used = schedule.processors()
-    image = {mapping.get(p, p) for p in used}
-    if len(image) != len(used):
-        raise ValueError("processor mapping is not injective on used processors")
-
-    def m(p: int) -> int:
-        return mapping.get(p, p)
-
-    return Schedule(
-        params=schedule.params,
-        sends=[
-            SendOp(time=op.time, src=m(op.src), dst=m(op.dst), item=op.item)
-            for op in schedule.sends
-        ],
-        initial={m(p): set(items) for p, items in schedule.initial.items()},
-        source_items=dict(schedule.source_items),
-        machine=schedule.machine,
-    )
-
-
-def reverse_objects(
-    schedule: Schedule,
-    tag: str = "rev",
-    initial: dict[int, set[Item]] | None = None,
-    item_of: Callable[[SendOp], Item] | None = None,
-) -> Schedule:
-    """Objects oracle for :func:`reverse` (see shim docstring)."""
-    params = schedule.params
-    if not schedule.sends:
-        return Schedule(
-            params=params,
-            initial=initial or dict(schedule.initial),
-            machine=schedule.machine,
-        )
-    completion = max(op.arrival(params) for op in schedule.sends)
-
-    def default_item(op: SendOp) -> Item:
-        return (tag, op.dst)
-
-    label = item_of or default_item
-    sends = [
-        SendOp(
-            time=completion - op.arrival(params),
-            src=op.dst,
-            dst=op.src,
-            item=label(op),
-        )
-        for op in schedule.sends
-    ]
-    source_items: dict[Item, int] = {}
-    for op in sends:
-        known = source_items.get(op.item)
-        if known is None or op.time < known:
-            source_items[op.item] = op.time
-    if initial is None:
-        initial = {}
-        for op in sends:
-            initial.setdefault(op.src, set()).add(op.item)
-    return Schedule(
-        params=params,
-        sends=sorted(sends),
-        initial=initial,
-        source_items=source_items,
-        machine=schedule.machine,
-    )
-
-
-def concat_objects(first: Schedule, second: Schedule) -> Schedule:
-    """Objects oracle for :func:`concat`."""
-    if first.params != second.params:
-        raise ValueError("cannot concatenate schedules for different machines")
-    if first.machine != second.machine:
-        raise ValueError("cannot concatenate schedules for different machines")
-    params = first.params
-    finish = max((op.arrival(params) for op in first.sends), default=0)
-    # params guarantee g >= 1, so max(g, o) is the documented spacing and
-    # is already positive — the old `max(g, o, 1)` floor was dead code.
-    moved = shift_objects(second, finish + max(params.g, params.o))
-    initial = {p: set(items) for p, items in first.initial.items()}
-    for p, items in moved.initial.items():
-        initial.setdefault(p, set()).update(items)
-    return Schedule(
-        params=params,
-        sends=sorted(first.sends + moved.sends),
-        initial=initial,
-        source_items=merge_source_items(first.source_items, moved.source_items),
-        machine=first.machine,
-    )
-
-
-def restrict_objects(schedule: Schedule, procs: Iterable[int]) -> Schedule:
-    """Objects oracle for :func:`restrict`."""
-    keep = set(procs)
-    return Schedule(
-        params=schedule.params,
-        sends=[
-            op for op in schedule.sends if op.src in keep and op.dst in keep
-        ],
-        initial={
-            p: set(items) for p, items in schedule.initial.items() if p in keep
-        },
-        source_items=merge_source_items(schedule.source_items, {}),
-        machine=schedule.machine,
-    )
-
-
-def canonicalize_objects(schedule: Schedule) -> tuple[Schedule, int]:
-    """Objects oracle for the ``canonicalize`` pass.
-
-    Returns ``(canonical schedule, item-table entries dropped)``; on the
-    objects path the drop count still reports how many entries of the
-    *input's* interning table no send references.
-    """
-    sends = sorted(
-        schedule.sends, key=lambda op: (op.time, op.src, op.dst)
-    )
-    referenced = {op.item for op in sends}
-    dropped = len(schedule.columns().table) - len(referenced)
-    return (
-        Schedule(
-            params=schedule.params,
-            sends=sends,
-            initial={p: set(items) for p, items in schedule.initial.items()},
-            source_items=dict(schedule.source_items),
-            machine=schedule.machine,
-        ),
-        dropped,
-    )
-
-
-def prune_dead_sends_objects(schedule: Schedule) -> tuple[Schedule, int]:
-    """Objects oracle for the ``prune-dead-sends`` pass."""
-    avail = availability(schedule, backend="objects")
-    kept = [
-        op for op in schedule.sends if avail[(op.dst, op.item)] > op.time
-    ]
-    removed = len(schedule.sends) - len(kept)
-    return (
-        Schedule(
-            params=schedule.params,
-            sends=kept,
-            initial={p: set(items) for p, items in schedule.initial.items()},
-            source_items=dict(schedule.source_items),
-            machine=schedule.machine,
-        ),
-        removed,
-    )
-
-
-def compact_time_objects(schedule: Schedule) -> tuple[Schedule, int]:
-    """Objects oracle for the ``compact-time`` pass.
-
-    Mirrors :func:`repro.passes.kernels.compact_time_columns`: every send
-    reserves ``[t, t + L + 2o + g]``, creation times reserve their own
-    cycle, and uncovered cycles are deleted from the timeline.
-    """
-    params = schedule.params
-    reserve = params.L + 2 * params.o + params.g
-    deltas: dict[int, int] = {}
-    for op in schedule.sends:
-        deltas[op.time] = deltas.get(op.time, 0) + 1
-        end = op.time + reserve + 1
-        deltas[end] = deltas.get(end, 0) - 1
-    for when in schedule.source_items.values():
-        deltas[when] = deltas.get(when, 0) + 1
-        deltas[when + 1] = deltas.get(when + 1, 0) - 1
-    copy_initial = {p: set(items) for p, items in schedule.initial.items()}
-    if not deltas:
-        return (
-            Schedule(
-                params=params,
-                sends=list(schedule.sends),
-                initial=copy_initial,
-                source_items={},
-                machine=schedule.machine,
-            ),
-            0,
-        )
-    coords = sorted(deltas)
-    gap_ends: list[int] = []
-    removed_cum = [0]
-    coverage = 0
-    for left, right in zip(coords, coords[1:]):
-        coverage += deltas[left]
-        if coverage == 0:
-            gap_ends.append(right)
-            removed_cum.append(removed_cum[-1] + (right - left))
-
-    def compacted(when: int) -> int:
-        return when - removed_cum[bisect.bisect_right(gap_ends, when)]
-
-    return (
-        Schedule(
-            params=params,
-            sends=[
-                SendOp(
-                    time=compacted(op.time),
-                    src=op.src,
-                    dst=op.dst,
-                    item=op.item,
-                )
-                for op in schedule.sends
-            ],
-            initial=copy_initial,
-            source_items={
-                item: compacted(when)
-                for item, when in schedule.source_items.items()
-            },
-            machine=schedule.machine,
-        ),
-        removed_cum[-1],
-    )
+    return RestrictPass(procs).run(schedule)

@@ -6,8 +6,8 @@ measurements, PAPERS.md cs/0408034) concentrates on a small set of
 recurring ``(collective, machine)`` points, so this package puts a
 content-addressed cache in front of the planner and serves it:
 
-* :mod:`repro.serve.keys` — canonical request keys (alias-normalized,
-  dispatch-env-independent) and content hashing of canonical plan JSON;
+* :mod:`repro.serve.keys` — canonical request keys (alias-normalized)
+  and content hashing of canonical plan JSON;
 * :mod:`repro.serve.cache` — bounded in-memory LRU over an atomic,
   corruption-tolerant on-disk tier that stores each distinct plan once;
 * :mod:`repro.serve.service` — :class:`PlanService` with ``plan_json``

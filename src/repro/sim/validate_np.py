@@ -1,29 +1,30 @@
-"""Vectorized (numpy) LogP legality checking — the validator fast path.
+"""Vectorized (numpy) LogP legality checking: the one legality kernel.
 
-:func:`violations_np` re-implements every check of
-:func:`repro.sim.validate.violations` over struct-of-arrays send tables
-(:class:`repro.schedule.analysis_np.ScheduleColumns`) instead of per-op
-Python loops: causality, send gap, receive gap, overhead exclusivity and
-per-endpoint capacity.  It produces the *same violation strings* as the
-scalar path (property-tested for multiset equality), so callers cannot
-tell which engine ran; only violating ops are ever formatted in Python,
-so legal schedules stay entirely in numpy.
+:func:`violations_np` checks causality, self-send, send gap, receive
+gap, overhead exclusivity and per-endpoint capacity over the
+schedule's struct-of-arrays columns
+(:class:`repro.schedule.analysis_np.ScheduleColumns`) instead of
+per-op Python loops.  A flat machine is the one-level case of the
+per-level checks; hierarchical and fault-masked machines run the same
+code over each level's sends.  Only violating ops are ever formatted
+in Python, so legal schedules stay entirely in numpy.
 
-:func:`repro.sim.validate.violations` dispatches here automatically for
-large schedules (the cutoff lives in the :mod:`repro.dispatch` policy);
-at the P=256 all-to-all scale (65,280 sends) the speedup over the scalar
-validator is roughly 7-8x (see ``BENCH_PR1.json``).
+:func:`repro.sim.validate.violations` calls it directly.  The
+pure-Python checker in ``tests/oracles/validate.py`` is its
+differential oracle: hypothesis twins assert the same violation
+strings as a multiset.  At the P=256 all-to-all scale (65,280 sends)
+the kernel is roughly 7-8x faster than that oracle (see
+``BENCH_PR1.json``).
+
+:func:`violations_np_implicit` streams the causality and gap checks
+over an implicit plan's chunks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.machine.model import MachineModel
-
+from repro.machine.model import FlatMachine
 from repro.schedule.analysis_np import (
     ScheduleColumns,
     availability_arrays,
@@ -53,7 +54,7 @@ def _causality(
     selfsend = cols.srcs == cols.dsts
     if not (never.any() or early.any() or selfsend.any()):
         return
-    # format in the scalar path's order: replay order (time, src, dst)
+    # format in replay order (time, src, dst)
     # with positional tie-break, causality before self-send per op
     rev = [None] * n_items
     for item, idx in item_ids.items():
@@ -103,10 +104,10 @@ def _overhead(
 ) -> None:
     # busy intervals: send overhead [t, t+o) at src, receive overhead
     # [t+o+L, t+o+L+o) at dst; all have length o, so sorted adjacency
-    # suffices for overlap detection (as in the scalar path)
+    # suffices for overlap detection
     starts = np.concatenate([send_starts, recv_starts])
     procs = np.concatenate([send_procs, recv_procs])
-    # scalar sorts (start, end, label) tuples; "recv@..." < "send@..."
+    # ties order "recv@..." before "send@..." (label order)
     kind = np.concatenate(
         [
             np.ones(len(send_starts), np.int64),
@@ -131,7 +132,7 @@ def _capacity_peaks(procs: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     ev_delta = np.concatenate(
         [np.ones(len(t0), np.int64), -np.ones(len(t1), np.int64)]
     )
-    # -1 sorts before +1 at equal times, matching the scalar (t, delta) sort
+    # -1 sorts before +1 at equal times: an interval closing at t frees its slot
     order = np.lexsort((ev_delta, ev_time, ev_proc))
     p, d = ev_proc[order], ev_delta[order]
     running = np.cumsum(d)
@@ -142,23 +143,25 @@ def _capacity_peaks(procs: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     return p[starts], np.maximum.reduceat(in_group, starts)
 
 
-def _violations_machine(
-    schedule: Schedule,
-    cols: ScheduleColumns,
-    machine: "MachineModel",
-    check_capacity: bool = True,
-) -> list[str]:
-    """Per-level legality checks for non-flat machines (DESIGN S38).
+def violations_np(schedule: Schedule, check_capacity: bool = True) -> list[str]:
+    """Every LogP-model violation in ``schedule`` (empty if legal).
 
-    Each level of the machine is an *independent interface*: gap,
-    overhead-exclusivity, and capacity constraints bind only among sends
-    of the same level, each priced with that level's ``(L, o, g)`` — a
-    node leader may drive its inter-node NIC and its intra-node bus in
-    the same cycle.  Causality and self-send are global and consume the
-    per-edge ``cols.arrivals``, and on a fault-masked machine any send
-    touching a dead rank is illegal outright.
+    The one legality kernel.  A flat machine (``schedule.machine`` is
+    ``None`` or a :class:`~repro.machine.model.FlatMachine`) is the
+    one-level case.  On a hierarchical machine (DESIGN S38) each level
+    is an *independent interface*: gap, overhead-exclusivity and
+    capacity constraints bind only among sends of the same level, each
+    priced with that level's ``(L, o, g)`` — a node leader may drive
+    its inter-node NIC and its intra-node bus in the same cycle.
+    Causality and self-send are global and consume the per-edge
+    ``cols.arrivals``; on a fault-masked machine any send touching a
+    dead rank is illegal outright.
     """
     problems: list[str] = []
+    cols = columns(schedule)
+    if len(cols.times) == 0:
+        return problems
+    machine = schedule.machine or FlatMachine(schedule.params)
     _causality(schedule, cols, problems)
 
     alive = machine.alive_np()
@@ -212,66 +215,6 @@ def _violations_machine(
                         f"capacity: > {cap} messages in transit "
                         f"{direction} proc {proc}"
                     )
-    return problems
-
-
-def violations_np(schedule: Schedule, check_capacity: bool = True) -> list[str]:
-    """Vectorized equivalent of :func:`repro.sim.validate.violations`.
-
-    Returns the same violation strings as the scalar checker (the order of
-    unrelated violations may differ); empty list means the schedule is a
-    legal LogP execution.
-    """
-    params = schedule.params
-    problems: list[str] = []
-    cols = columns(schedule)
-    if len(cols.times) == 0:
-        return problems
-
-    machine = schedule.machine
-    if machine is not None and not machine.is_flat:
-        return _violations_machine(
-            schedule, cols, machine, check_capacity=check_capacity
-        )
-
-    _causality(schedule, cols, problems)
-
-    _adjacent_gap(
-        cols.srcs,
-        cols.times,
-        cols.dsts,
-        params.g,
-        "send gap: proc {proc} sends at t={prev} and t={cur} "
-        f"(< g={params.g} apart)",
-        problems,
-    )
-
-    recv_starts = cols.arrivals - params.o
-    _adjacent_gap(
-        cols.dsts,
-        recv_starts,
-        cols.srcs,
-        params.g,
-        "receive gap: proc {proc} receives at t={prev} and t={cur} "
-        f"(< g={params.g} apart)",
-        problems,
-    )
-
-    if params.o > 0:
-        _overhead(cols.times, cols.srcs, recv_starts, cols.dsts, params.o, problems)
-
-    if check_capacity:
-        cap = params.capacity
-        t0 = cols.times + params.o
-        t1 = t0 + params.L
-        for direction, endpoint in (("from", cols.srcs), ("to", cols.dsts)):
-            procs, peaks = _capacity_peaks(endpoint, t0, t1)
-            for proc in procs[peaks > cap].tolist():
-                problems.append(
-                    f"capacity: > {cap} messages in transit "
-                    f"{direction} proc {proc}"
-                )
-
     return problems
 
 

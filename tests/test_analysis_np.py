@@ -1,4 +1,4 @@
-"""Tests for the vectorized analysis (agreement with the scalar code)."""
+"""Tests for the vectorized analysis (agreement with the per-send oracles)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
-from repro.schedule.analysis import (
-    broadcast_delay_per_proc,
-    completion_time,
-    item_completion_times,
-)
 from repro.schedule.analysis_np import (
     columns,
     completion_time_np,
     per_item_completion_np,
     per_proc_first_arrival_np,
     send_load_np,
+)
+
+from tests.oracles.analysis import (
+    broadcast_delay_per_proc_objects as broadcast_delay_per_proc,
+)
+from tests.oracles.analysis import completion_time_objects as completion_time
+from tests.oracles.analysis import (
+    item_completion_times_objects as item_completion_times,
 )
 
 

@@ -1,9 +1,6 @@
 """Unit tests for the static lint engine (:mod:`repro.analyze`)."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -266,106 +263,6 @@ class TestZeroCopy:
         report = lint_schedule(sched)
         assert sched.is_array_backed  # lint never touched .sends
         assert report.max_severity is None
-
-
-class TestDispatchThreshold:
-    def test_env_var_overrides_threshold(self):
-        code = (
-            "from repro import dispatch;"
-            "print(dispatch.get_policy().threshold)"
-        )
-        env = dict(os.environ, REPRO_FAST_PATH_THRESHOLD="7", PYTHONPATH="src")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.stdout.strip() == "7"
-
-    def test_env_var_overrides_mode(self):
-        code = "from repro import dispatch; print(dispatch.get_policy().mode)"
-        env = dict(os.environ, REPRO_DISPATCH="numpy", PYTHONPATH="src")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.stdout.strip() == "numpy"
-
-    @pytest.mark.parametrize("raw", ["abc", "", "-1"])
-    def test_bad_env_threshold_is_a_one_line_config_error(
-        self, monkeypatch, raw
-    ):
-        # this path runs at `import repro` time; a bare int() ValueError
-        # would blame the importer instead of the configuration
-        from repro import dispatch
-
-        monkeypatch.setenv("REPRO_FAST_PATH_THRESHOLD", raw)
-        with pytest.raises(ValueError) as excinfo:
-            dispatch._policy_from_env()
-        message = str(excinfo.value)
-        assert "REPRO_FAST_PATH_THRESHOLD" in message
-        assert repr(raw) in message
-        assert "\n" not in message
-
-    def test_bad_env_threshold_import_crash_names_the_variable(self):
-        code = "import repro"
-        env = dict(os.environ, REPRO_FAST_PATH_THRESHOLD="abc", PYTHONPATH="src")
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        )
-        assert out.returncode != 0
-        assert "REPRO_FAST_PATH_THRESHOLD='abc'" in out.stderr
-
-    def test_dispatch_reads_policy_dynamically(self, monkeypatch):
-        from repro import dispatch
-        from repro.sim import validate, validate_np
-
-        calls = []
-        real = validate_np.violations_np
-
-        def spy(schedule, check_capacity=True):
-            calls.append(schedule.num_sends)
-            return real(schedule, check_capacity=check_capacity)
-
-        monkeypatch.setattr(validate_np, "violations_np", spy)
-        sched = optimal_broadcast_schedule(FIG1)  # 7 sends, below default
-        monkeypatch.setattr(
-            dispatch, "_POLICY", dispatch.DispatchPolicy(threshold=0)
-        )
-        assert validate.violations(sched) == []
-        assert calls == [7]
-        monkeypatch.setattr(
-            dispatch, "_POLICY", dispatch.DispatchPolicy(threshold=10**9)
-        )
-        assert validate.violations(sched) == []
-        assert calls == [7]  # scalar path this time
-
-    def test_set_policy_round_trips(self):
-        from repro import dispatch
-
-        prev = dispatch.set_policy(dispatch.DispatchPolicy(mode="objects"))
-        try:
-            assert not dispatch.use_numpy(10**9)
-        finally:
-            dispatch.set_policy(prev)
-        assert dispatch.get_policy() == prev
-
-    def test_per_call_override_beats_policy(self):
-        from repro import dispatch
-
-        assert dispatch.use_numpy(1, override="numpy")
-        assert not dispatch.use_numpy(10**9, override="objects")
-        with pytest.raises(ValueError):
-            dispatch.use_numpy(1, override="vectorized")
 
 
 class TestContextInternals:

@@ -45,7 +45,7 @@ def test_manifest_covers_exactly_the_corpus_files():
 
 def test_every_rule_is_exercised_by_some_corpus_file():
     fired = {rule for ids in EXPECTED.values() for rule in ids}
-    assert fired == {f"REPRO{i:03d}" for i in range(1, 9)} | {
+    assert fired == {f"REPRO{i:03d}" for i in range(1, 9) if i != 2} | {
         UNUSED_SUPPRESSION
     }
 

@@ -4,7 +4,7 @@ An array-backed :class:`~repro.schedule.ops.Schedule` built via
 ``Schedule.from_arrays`` must be observationally identical to an
 object-backed twin holding the same sends: *byte-identical* violation
 strings (in the same order, not merely the same multiset) from both the
-scalar and the vectorized validator, identical JSON serialization, and
+oracle and the kernel validator, identical JSON serialization, and
 identical serialize round-trips — on legal and hostile schedules alike.
 
 The array twin's :class:`ItemTable` is interned in a *shuffled* order,
@@ -26,8 +26,14 @@ from repro.params import LogPParams, postal
 from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
-from repro.sim.validate import violations
 from repro.sim.validate_np import violations_np
+
+from tests.oracles.builders import (
+    all_to_all_personalized_schedule_objects,
+    all_to_all_schedule_objects,
+    k_item_all_to_all_schedule_objects,
+)
+from tests.oracles.validate import violations_objects
 
 # deliberately unorderable mix: int < tuple raises TypeError, so any
 # code path that sorts raw items (rather than (time, src, dst) keys or
@@ -89,9 +95,7 @@ class TestHostileTwins:
     @settings(max_examples=150, deadline=None)
     def test_scalar_violations_byte_identical(self, twins):
         obj, arr = twins
-        assert violations(obj, force_scalar=True) == violations(
-            arr, force_scalar=True
-        )
+        assert violations_objects(obj) == violations_objects(arr)
 
     @given(twins=_twin_schedules())
     @settings(max_examples=150, deadline=None)
@@ -125,8 +129,8 @@ class TestLegalBuilders:
     def test_all_to_all(self, P, L):
         params = postal(P=P, L=L)
         fast = all_to_all_schedule(params)
-        oracle = all_to_all_schedule(params, backend="objects")
-        assert violations(fast, force_scalar=True) == []
+        oracle = all_to_all_schedule_objects(params)
+        assert violations_objects(fast) == []
         assert violations_np(fast) == []
         assert schedule_to_json(fast) == schedule_to_json(oracle)
 
@@ -135,7 +139,7 @@ class TestLegalBuilders:
     def test_personalized(self, P, L):
         params = postal(P=P, L=L)
         fast = all_to_all_personalized_schedule(params)
-        oracle = all_to_all_personalized_schedule(params, backend="objects")
+        oracle = all_to_all_personalized_schedule_objects(params)
         assert fast.sends == oracle.sends
         assert schedule_to_json(fast) == schedule_to_json(oracle)
 
@@ -144,6 +148,6 @@ class TestLegalBuilders:
     def test_kitem(self, P, L, k):
         params = postal(P=P, L=L)
         fast = k_item_all_to_all_schedule(params, k)
-        oracle = k_item_all_to_all_schedule(params, k, backend="objects")
-        assert violations(fast, force_scalar=True) == []
+        oracle = k_item_all_to_all_schedule_objects(params, k)
+        assert violations_objects(fast) == []
         assert schedule_to_json(fast) == schedule_to_json(oracle)

@@ -101,8 +101,7 @@ class TestLowering:
                     assert producer.item == instr.item
 
     def test_lowering_is_zero_copy_on_columnar_schedules(self):
-        schedule = registry.plan("broadcast", P=256, L=4, o=1, g=2,
-                                 backend="columnar")
+        schedule = registry.plan("broadcast", P=256, L=4, o=1, g=2)
         assert schedule.is_array_backed
         plan = lower_schedule(schedule)
         assert schedule.is_array_backed  # no SendOp materialization

@@ -295,10 +295,6 @@ class TestRegistryStorage:
             registry.plan("broadcast", FIG1, storage="sparse")
         with pytest.raises(ValueError, match="supported by: broadcast, reduction"):
             registry.plan("kitem", postal(P=8, L=2), storage="implicit", k=3)
-        with pytest.raises(ValueError, match="backend= does not apply"):
-            registry.plan(
-                "broadcast", FIG1, storage="implicit", backend="columnar"
-            )
         with pytest.raises(ValueError, match="unknown implicit family"):
             registry.plan("broadcast", FIG1, storage="implicit", family="fft")
 

@@ -3,7 +3,8 @@
 Two invariance tiers (see :mod:`repro.analyze.diagnostics`):
 
 * legality-preserving *relabelings* — :func:`shift`, :func:`remap`,
-  :func:`reverse` — keep a clean schedule free of WARNING-and-above
+  and time reversal (the per-edge-labelled oracle
+  ``reverse_objects``) — keep a clean schedule free of WARNING-and-above
   findings (INFO observations may appear; ``reverse`` legitimately has
   slack on the reversed critical path);
 * *compositions* — :func:`concat`, :func:`restrict` — only promise
@@ -25,7 +26,9 @@ from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams
 from repro.schedule.ops import Schedule, SendOp
-from repro.schedule.transform import concat, remap, restrict, reverse, shift
+from repro.schedule.transform import concat, remap, restrict, shift
+
+from tests.oracles.transform import reverse_objects
 
 SETTINGS = settings(max_examples=25, deadline=None)
 
@@ -81,7 +84,9 @@ class TestRelabelingInvariance:
         # per-(dst, item) labels: the default ("rev", dst) tag collapses
         # the k items a single edge carries into one, which would turn a
         # legal k-item reversal into genuine duplicate deliveries
-        reversed_ = reverse(sched, item_of=lambda op: ("rev", op.dst, op.item))
+        reversed_ = reverse_objects(
+            sched, item_of=lambda op: ("rev", op.dst, op.item)
+        )
         assert warnings_and_up(reversed_) <= warnings_and_up(sched)
 
 

@@ -8,10 +8,12 @@ Four tiers:
 * normalization passes — canonicalize idempotence/JSON-invariance,
   prune-dead-sends clears SCHED004 in one application, compact-time
   reclaims idle cycles without breaking legality;
-* backend twins — every pass byte-identical across the objects oracle
-  and the columnar kernels (hypothesis over builder schedules), plus the
-  transform round-trips promised by the issue (double reverse, restrict
-  + remap commutation).
+* oracle twins — every pass byte-identical between its objects oracle
+  (``tests/oracles/transform.py``) and its columnar kernel (hypothesis
+  over builder schedules in both storage modes), plus the transform
+  round-trips (double reverse, restrict + remap commutation);
+* local computations — passes carry ``Schedule.computes`` or refuse
+  the schedule loudly.
 """
 
 import json
@@ -25,12 +27,10 @@ from repro.analyze import lint_schedule
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
 from repro.passes import (
-    CanonicalizePass,
     PassManager,
     PassVerificationError,
     ReversePass,
     SchedulePass,
-    ShiftPass,
     format_pipeline,
     get_pass_cls,
     get_pass_spec,
@@ -40,11 +40,14 @@ from repro.passes import (
     register_pass,
     run_pipeline,
 )
-from repro.registry import plan
+from repro.registry import completion, plan
 from repro.schedule.ops import Schedule, SendOp
 from repro.schedule.serialize import load_schedule, schedule_to_json
 from repro.schedule.transform import remap, restrict, reverse, shift
 from repro.sim.machine import replay
+
+from tests.oracles.builders import REGISTRY_ORACLES
+from tests.oracles.transform import run_pass_objects
 
 CORPUS = Path(__file__).parent / "data" / "lint_corpus"
 FIG1 = LogPParams(P=8, L=6, o=2, g=4)
@@ -64,18 +67,24 @@ ALL_PASSES = (
 
 @st.composite
 def builder_schedules(draw):
-    """A legal builder schedule in either storage backend."""
+    """A legal builder schedule in either storage mode.
+
+    Object-backed twins of the array-backed builders come from the
+    per-send oracles in ``tests/oracles/builders.py``.
+    """
     kind = draw(st.sampled_from(["bcast", "a2a", "kitem"]))
-    backend = draw(st.sampled_from(["objects", "columnar"]))
+    build = plan
+    if draw(st.booleans()):
+        build = lambda name, params: REGISTRY_ORACLES[name](params)  # noqa: E731
     if kind == "bcast":
         P = draw(st.integers(2, 12))
         L = draw(st.integers(1, 5))
         o = draw(st.integers(0, 2))
         g = draw(st.integers(max(1, o), 3))
-        return plan("broadcast", LogPParams(P=P, L=L, o=o, g=g), backend=backend)
+        return build("broadcast", LogPParams(P=P, L=L, o=o, g=g))
     if kind == "a2a":
         P = draw(st.integers(2, 10))
-        return plan("all-to-all", postal(P=P, L=draw(st.integers(1, 4))), backend=backend)
+        return build("all-to-all", postal(P=P, L=draw(st.integers(1, 4))))
     P = draw(st.integers(2, 8))
     # the kitem builder has no columnar variant; it always yields objects
     return plan(
@@ -182,6 +191,25 @@ class _StretchMakespan(SchedulePass):
         )
 
 
+class _DropComputes(SchedulePass):
+    """Claims preserves_completion but drops the local computations."""
+
+    name = "drop-computes"
+    summary = "test-only"
+
+    def run(self, schedule: Schedule) -> Schedule:
+        return Schedule(
+            schedule.params,
+            sends=list(schedule.sends),
+            initial=schedule.initial,
+            source_items=schedule.source_items,
+        )
+
+
+def _shift_oracle(schedule: Schedule, offset: int) -> Schedule:
+    return run_pass_objects("shift", schedule, offset=offset)
+
+
 class TestPassManager:
     def test_records_one_entry_per_pass(self):
         s = optimal_broadcast_schedule(FIG1)
@@ -217,12 +245,6 @@ class TestPassManager:
         pm = PassManager([_StretchMakespan()], verify="errors")
         with pytest.raises(PassVerificationError, match="makespan"):
             pm.run(optimal_broadcast_schedule(FIG1))
-
-    def test_backend_override_applies_to_unpinned_passes_only(self):
-        pinned = ShiftPass(1, backend="objects")
-        pm = PassManager([pinned, CanonicalizePass()], backend="numpy")
-        assert pm.passes[0].backend == "objects"
-        assert pm.passes[1].backend == "numpy"
 
     def test_reverse_pipeline_is_legal_reduction(self):
         s = optimal_broadcast_schedule(FIG1)
@@ -320,23 +342,20 @@ class TestBackendTwins:
             args = {"procs": set(keep)}
         else:
             args = {}
-        fast = make_pass(name, **dict(args, backend="numpy")).run(sched)
-        slow = make_pass(name, **dict(args, backend="objects")).run(sched)
+        fast = make_pass(name, **args).run(sched)
+        slow = run_pass_objects(name, sched, **args)
         assert schedule_to_json(fast) == schedule_to_json(slow)
 
     @SETTINGS
     @given(sched=builder_schedules(), offset=st.integers(-60, 5))
     def test_shift_offset_agrees_across_backends(self, sched, offset):
-        # negative offsets included: both backends must either raise the
-        # same ValueError at transform time or agree byte-for-byte —
-        # the columnar path may not silently emit negative-time columns
+        # negative offsets included: kernel and oracle must either raise
+        # the same ValueError at transform time or agree byte-for-byte —
+        # the kernel may not silently emit negative-time columns
         outcomes = []
-        for backend in ("numpy", "objects"):
+        for run in (shift, _shift_oracle):
             try:
-                out = make_pass("shift", offset=offset, backend=backend).run(
-                    sched
-                )
-                outcomes.append(("ok", schedule_to_json(out)))
+                outcomes.append(("ok", schedule_to_json(run(sched, offset))))
             except ValueError as exc:
                 outcomes.append(("raise", str(exc)))
         assert outcomes[0] == outcomes[1]
@@ -349,12 +368,12 @@ class TestBackendTwins:
             initial={0: {"x"}},
             source_items={"x": 2},
         )
-        for backend in ("numpy", "objects"):
-            assert shift(sched, -2, backend=backend).source_items == {"x": 0}
+        for run in (shift, _shift_oracle):
+            assert run(sched, -2).source_items == {"x": 0}
             with pytest.raises(
                 ValueError, match="send or item creation before cycle 0"
             ):
-                shift(sched, -3, backend=backend)
+                run(sched, -3)
 
     def test_shift_guard_message_shared_with_implicit_ir(self):
         from repro.passes.kernels import SHIFT_BEFORE_ZERO
@@ -365,13 +384,86 @@ class TestBackendTwins:
     @SETTINGS
     @given(sched=builder_schedules())
     def test_numpy_path_never_materializes_sendops(self, sched):
-        arrayed = run_pipeline("canonicalize", sched, backend="numpy")
+        arrayed = run_pipeline("canonicalize", sched)
         assert arrayed.is_array_backed
         for name in ("shift", "reverse", "prune-dead-sends", "compact-time"):
             args = {"offset": 3} if name == "shift" else {}
-            out = make_pass(name, **dict(args, backend="numpy")).run(arrayed)
+            out = make_pass(name, **args).run(arrayed)
             assert out.is_array_backed, name
         assert arrayed.is_array_backed
+
+
+class TestComputes:
+    """Passes carry ``Schedule.computes`` or refuse the schedule."""
+
+    SUM = {"P": 16, "L": 6, "o": 2, "g": 4, "n": 100}
+
+    def summation(self) -> Schedule:
+        sched = plan("summation", **self.SUM)
+        assert len(sched.computes) == 102
+        assert completion(sched) == 32  # the last reduction ends after any send
+        return sched
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("canonicalize", {}),
+            ("prune-dead-sends", {}),
+            ("shift", {"offset": 7}),
+            ("shift", {"offset": 0}),
+            ("remap", {"perm": "reverse"}),
+        ],
+    )
+    def test_carrying_passes_match_the_oracle(self, name, args):
+        sched = self.summation()
+        pm = PassManager([make_pass(name, **args)], verify="errors")
+        out = pm.run(sched)
+        oracle = run_pass_objects(name, sched, **args)
+        assert len(out.computes) == len(sched.computes)
+        assert out.computes == oracle.computes
+        assert schedule_to_json(out) == schedule_to_json(oracle)
+        assert completion(out) == completion(sched) + args.get("offset", 0)
+
+    def test_shift_and_remap_move_computes_like_sends(self):
+        sched = self.summation()
+        shifted = shift(sched, 5)
+        assert [op.time for op in shifted.computes] == [
+            op.time + 5 for op in sched.computes
+        ]
+        top = self.SUM["P"] - 1
+        flipped = remap(sched, {p: top - p for p in range(self.SUM["P"])})
+        assert [op.proc for op in flipped.computes] == [
+            top - op.proc for op in sched.computes
+        ]
+        with pytest.raises(ValueError, match="before cycle 0"):
+            shift(sched, -1)  # sends start at t=1, the first reductions at t=0
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("reverse", {}),
+            ("restrict", {"procs": {0, 1}}),
+            ("compact-time", {}),
+            ("heal", {}),
+        ],
+    )
+    def test_non_carrying_passes_refuse(self, name, args):
+        sched = self.summation()
+        with pytest.raises(ValueError, match=f"pass '{name}' cannot carry") as exc:
+            make_pass(name, **args).run(sched)
+        assert "\n" not in str(exc.value)
+
+    def test_concat_refuses_computes_on_either_side(self):
+        sched = self.summation()
+        plain = plan("broadcast", **{k: self.SUM[k] for k in "PLog"})
+        for first, second in ((sched, plain), (plain, sched)):
+            with pytest.raises(ValueError, match="pass 'concat' cannot carry"):
+                make_pass("concat", second=second).run(first)
+
+    def test_makespan_check_counts_computes(self):
+        pm = PassManager([_DropComputes()], verify="errors")
+        with pytest.raises(PassVerificationError, match="makespan from 32"):
+            pm.run(self.summation())
 
 
 class TestTransformRoundTrips:

@@ -10,8 +10,9 @@ across ``test_single_item.py`` / ``test_kitem.py`` / ``test_all_to_all.py``
 * pass the static lint sweep with nothing at ERROR severity,
 * complete no earlier than its registered closed-form lower bound —
   and *exactly at* the bound whenever the spec claims tightness,
-* round-trip through JSON serialization byte-identically, from every
-  storage backend the spec supports.
+* round-trip through JSON serialization byte-identically, and serialize
+  to the same bytes as its per-send oracle builder when one exists
+  (``tests/oracles/builders.py``).
 
 Adding a spec to :mod:`repro.registry.specs` automatically enrolls it
 here — no new test code required.
@@ -28,6 +29,8 @@ from repro.analyze import assert_lint_clean
 from repro.params import LogPParams
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.sim.machine import replay
+
+from tests.oracles.builders import REGISTRY_ORACLES
 
 
 def split_case(case: dict) -> tuple[LogPParams, dict]:
@@ -100,16 +103,16 @@ class TestEverySpec:
     @pytest.mark.parametrize("spec,case", CASES)
     def test_serialize_round_trip_every_backend(self, spec, case):
         params, extra = split_case(case)
-        blobs = {}
-        for backend in spec.backends:
-            schedule = registry.plan(
-                spec.name, params, backend=backend, **extra
-            )
+        schedules = [registry.plan(spec.name, params, **extra)]
+        if spec.name in REGISTRY_ORACLES:
+            schedules.append(REGISTRY_ORACLES[spec.name](params, **extra))
+        blobs = set()
+        for schedule in schedules:
             blob = schedule_to_json(schedule)
             assert schedule_to_json(schedule_from_json(blob)) == blob
-            blobs[backend] = blob
-        # both storage backends must serialize to the same bytes
-        assert len(set(blobs.values())) == 1, sorted(blobs)
+            blobs.add(blob)
+        # both storage modes must serialize to the same bytes
+        assert len(blobs) == 1
 
 
 class TestLookup:
@@ -175,15 +178,17 @@ class TestDomainErrors:
         with pytest.raises(ValueError, match=r"nearest valid P is 15"):
             registry.plan("continuous", P=14, L=4, k=3)
 
-    def test_continuous_rejects_small_L(self):
-        with pytest.raises(ValueError, match=r"continuous: .* L >= 3"):
-            registry.plan("continuous", P=3, L=2, k=3)
-
     def test_backend_override_must_be_supported(self):
-        with pytest.raises(ValueError, match=r"not supported"):
+        # no builder takes a storage-backend override any more: the
+        # keyword is rejected as an unknown parameter, in one line
+        with pytest.raises(ValueError, match=r"kitem: unknown parameter.*backend"):
             registry.plan("kitem", P=4, L=3, k=2, backend="columnar")
         with pytest.raises(ValueError, match="backend"):
             registry.plan("broadcast", P=4, L=3, backend="rowwise")
+
+    def test_continuous_rejects_small_L(self):
+        with pytest.raises(ValueError, match=r"continuous: .* L >= 3"):
+            registry.plan("continuous", P=3, L=2, k=3)
 
     def test_params_and_machine_kwargs_conflict(self):
         with pytest.raises(ValueError, match="not both"):

@@ -1,11 +1,11 @@
-"""Scalar/vectorized validator agreement (property-based).
+"""Kernel/oracle validator agreement (property-based).
 
-The numpy engine in :mod:`repro.sim.validate_np` must report *exactly*
-the same violation strings as the pure-Python reference in
-:mod:`repro.sim.validate` — same messages, same multiplicities — on any
-schedule, legal or hostile.  Order may differ (the scalar walker emits
-per-check, the vectorized one per-array-pass), so agreement is checked
-as a multiset.
+The legality kernel in :mod:`repro.sim.validate_np` must report
+*exactly* the same violation strings as the pure-Python reference in
+``tests/oracles/validate.py`` — same messages, same multiplicities — on
+any schedule, legal or hostile.  Order may differ (the oracle walks
+per-check, the kernel per-array-pass), so agreement is checked as a
+multiset.
 """
 
 from collections import Counter
@@ -20,9 +20,11 @@ from repro.schedule.ops import Schedule
 from repro.sim.validate import violations
 from repro.sim.validate_np import violations_np
 
+from tests.oracles.validate import violations_objects
+
 
 def assert_agree(schedule: Schedule, check_capacity: bool = True) -> None:
-    scalar = violations(schedule, check_capacity=check_capacity, force_scalar=True)
+    scalar = violations_objects(schedule, check_capacity=check_capacity)
     vector = violations_np(schedule, check_capacity=check_capacity)
     assert Counter(scalar) == Counter(vector)
 
@@ -75,31 +77,31 @@ class TestFuzzedAgreement:
     def test_optimal_broadcasts_clean_on_both(self, g, P, L, o_raw):
         params = LogPParams(P=P, L=L, o=min(o_raw, g), g=g)
         schedule = optimal_broadcast_schedule(params)
-        assert violations(schedule, force_scalar=True) == []
+        assert violations_objects(schedule) == []
         assert violations_np(schedule) == []
 
     @given(P=st.integers(2, 16), L=st.integers(1, 6), k=st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_all_to_all_clean_on_both(self, P, L, k):
         schedule = k_item_all_to_all_schedule(postal(P=P, L=L), k)
-        assert violations(schedule, force_scalar=True) == []
+        assert violations_objects(schedule) == []
         assert violations_np(schedule) == []
 
 
 class TestDispatch:
     def test_large_schedule_routes_to_numpy_with_identical_result(self):
-        # 48*47 = 2256 sends > FAST_PATH_THRESHOLD: the public entry point
-        # dispatches to numpy; force_scalar pins the reference path
+        # 48*47 = 2256 sends through the public entry point (the kernel)
+        # against the oracle
         schedule = all_to_all_schedule(postal(P=48, L=4))
         assert len(schedule.sends) >= 1024
-        assert violations(schedule) == violations(schedule, force_scalar=True) == []
+        assert violations(schedule) == violations_objects(schedule) == []
 
     def test_large_corrupted_schedule_same_messages(self):
         schedule = all_to_all_schedule(postal(P=48, L=4))
         schedule.add(time=0, src=1, dst=1, item=("a2a", 1))  # self-send
         schedule.add(time=0, src=2, dst=3, item=("a2a", 5))  # causality
         auto = violations(schedule)
-        scalar = violations(schedule, force_scalar=True)
+        scalar = violations_objects(schedule)
         assert Counter(auto) == Counter(scalar)
         assert any("self-send" in v for v in auto)
         assert any("causality" in v for v in auto)
