@@ -460,7 +460,13 @@ def bench_exec(
     records the simulated completion time so the row reads as
     wall-clock vs model time.
     """
-    from repro.exec import available_transports, execute, lower_schedule
+    from repro.exec import (
+        MpTransport,
+        available_transports,
+        execute,
+        get_transport,
+        lower_schedule,
+    )
 
     params = LogPParams(P=P, L=L, o=o, g=g)
     schedule = registry.plan("broadcast", params)
@@ -476,10 +482,16 @@ def bench_exec(
         "transports": available_transports(),
     }
     for name in available_transports():
+        # one instance across the repeats: mp forks its pool once
+        transport = get_transport(name)
         wall_s, result = time_call(
-            lambda name=name: execute(schedule, transport=name, verify=True),
+            lambda transport=transport: execute(
+                schedule, transport=transport, verify=True
+            ),
             repeat,
         )
+        if isinstance(transport, MpTransport):
+            transport.close()
         assert result.num_delivered == schedule.num_sends
         row[f"exec_{name}_s"] = wall_s
     return row

@@ -373,10 +373,13 @@ class VirtualCluster:
     A thin front end over :mod:`repro.exec`: every collective lowers
     its plan's schedule to per-rank programs and runs them on a real
     transport (``backend="inproc"`` by default — threads and queues,
-    deterministic).  Data strictly follows the plan's messages: each
-    send moves the value it names, matched receives deliver it, and
-    reductions fold with the user's operator in arrival order — so a
-    wrong schedule produces wrong data, not just a wrong time.
+    deterministic).  The backend is resolved once, at construction, so
+    an unknown name fails there and an ``mp`` cluster reuses one worker
+    pool across its collectives.  Data strictly follows the plan's
+    messages: each send moves the value it names, matched receives
+    deliver it, and reductions fold with the user's operator in arrival
+    order — so a wrong schedule produces wrong data, not just a wrong
+    time.
 
     The reported cycle counts still come from the *model* (the plan's
     analysis), never from wall clocks.
@@ -388,9 +391,12 @@ class VirtualCluster:
         backend: str = "inproc",
         timeout: float = 30.0,
     ):
+        from repro.exec import get_transport
+
         self.params = params
         self.comm = Communicator(params)
         self.backend = backend
+        self.transport = get_transport(backend)
         self.timeout = timeout
 
     def _execute(
@@ -405,7 +411,7 @@ class VirtualCluster:
 
         return execute(
             plan.schedule,
-            transport=self.backend,
+            transport=self.transport,
             payloads=payloads,
             combine=combine,
             accumulators=accumulators,

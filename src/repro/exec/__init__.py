@@ -17,6 +17,10 @@ realized schedule::
                      transport="inproc", verify=True)
     result.trace.num_delivered  # 7 messages, same multiset as the sim
 
+A transport instance is reusable: an
+:class:`~repro.exec.transport.MpTransport` forks its worker pool once
+and keeps it across runs until :meth:`~repro.exec.transport.MpTransport.close`.
+
 :class:`~repro.comm.VirtualCluster` fronts this package for the
 high-level collectives API, ``repro run`` from the CLI, and the
 ``lower`` pass exposes the compilation step to ``repro opt``

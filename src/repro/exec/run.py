@@ -24,7 +24,7 @@ from repro.exec.errors import ExecError
 from repro.exec.lower import lower_schedule
 from repro.exec.program import ExecPlan
 from repro.exec.trace import ExecTrace, Triple, verify_against_sim
-from repro.exec.transport import Transport, get_transport
+from repro.exec.transport import MpTransport, Transport, get_transport
 from repro.schedule.implicit import ImplicitSchedule
 from repro.schedule.ops import Item, Schedule
 
@@ -86,6 +86,10 @@ def execute(
 ) -> ExecResult:
     """Lower (if needed) and execute ``source`` on a transport.
 
+    A transport named by string is built for this call and closed after
+    it; pass an instance (an :class:`~repro.exec.transport.MpTransport`,
+    say) to keep its worker pool across calls.
+
     ``verify=True`` requires a schedule source (the simulator side of
     the comparison needs the schedule, not just the lowered plan) and
     raises :class:`~repro.exec.errors.ExecVerificationError` if the
@@ -109,19 +113,25 @@ def execute(
                 "timed schedule the simulator replays"
             )
     plan = _resolve(source)
+    owned = isinstance(transport, str)
     if isinstance(transport, str):
         transport = get_transport(transport)
     stores = _initial_stores(plan, payloads)
     started = time.monotonic()
-    run = transport.run(
-        plan,
-        stores=stores,
-        combine=combine,
-        accumulators=dict(accumulators or {}),
-        reduce_op=reduce_op,
-        timeout=timeout,
-    )
-    wall_s = time.monotonic() - started
+    try:
+        run = transport.run(
+            plan,
+            stores=stores,
+            combine=combine,
+            accumulators=dict(accumulators or {}),
+            reduce_op=reduce_op,
+            timeout=timeout,
+        )
+        wall_s = time.monotonic() - started
+    finally:
+        # a transport named by string lives for this call only
+        if owned and isinstance(transport, MpTransport):
+            transport.close()
     decode = plan.table.decode
     triples: list[Triple] = [
         (src, rank, decode(code))

@@ -9,7 +9,9 @@ protocol:
 * ``mp`` — real OS processes.  Ranks are multiplexed onto a small
   worker pool (one inbound ``multiprocessing.Queue`` per worker, a
   dispatcher thread routing to rank-local queues), so ``P`` can exceed
-  the core count by orders of magnitude.
+  the core count by orders of magnitude.  The pool is forked on the
+  first run and lives as long as the transport instance: later runs
+  only ship each used worker one pickled job.
 * ``mpi`` — one program per MPI rank via mpi4py; constructing it
   without mpi4py raises :class:`TransportUnavailable` so callers and
   test suites skip cleanly.
@@ -24,14 +26,18 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import queue
+import signal
 import threading
 import time
-from typing import Any, Callable, Iterable, Protocol
+import traceback
+import weakref
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol
 
 from repro.exec.engine import Envelope, RankBlocked, RankOutcome, run_rank
 from repro.exec.errors import ExecError, ExecTimeout, TransportUnavailable
-from repro.exec.program import ExecPlan
+from repro.exec.program import ExecPlan, RankProgram
 from repro.sim.machine import format_blocked, format_rank_set
 
 __all__ = [
@@ -47,6 +53,8 @@ __all__ = [
 # extra wall-clock slack the parent allows workers beyond the rank
 # deadline before declaring the pool unresponsive
 _GRACE_S = 10.0
+# how often an idle mp worker checks that its parent is still alive
+_ORPHAN_POLL_S = 1.0
 
 Combine = Callable[[Any, Any], Any]
 
@@ -133,8 +141,7 @@ class _QueueEndpoint:
 
 
 def _run_rank_group(
-    plan: ExecPlan,
-    ranks: Iterable[int],
+    programs: Mapping[int, RankProgram],
     endpoint_of: Callable[[int], Any],
     *,
     stores: dict[int, dict[int, Any]],
@@ -157,7 +164,7 @@ def _run_rank_group(
         try:
             outcomes[rank] = run_rank(
                 rank,
-                plan.program(rank),
+                programs[rank],
                 endpoint_of(rank),
                 store=stores.get(rank, {}),
                 combine=combine,
@@ -172,7 +179,7 @@ def _run_rank_group(
 
     threads = [
         threading.Thread(target=target, args=(rank,), daemon=True)
-        for rank in ranks
+        for rank in sorted(programs)
     ]
     for thread in threads:
         thread.start()
@@ -201,8 +208,7 @@ class InprocTransport:
             rank: queue.Queue() for rank in plan.programs
         }
         outcomes, blocked, failures = _run_rank_group(
-            plan,
-            sorted(plan.programs),
+            plan.programs,
             lambda rank: _QueueEndpoint(inboxes, rank),
             stores=stores,
             combine=combine,
@@ -231,25 +237,25 @@ def _mp_context() -> Any:
 
 
 class _MpEndpoint:
-    """mp endpoint: cross-worker sends go over the destination worker's
-    inbound process queue, tagged with the destination rank."""
+    """mp endpoint: every send goes over the destination worker's
+    inbound process queue, tagged with the run id and destination rank."""
 
-    __slots__ = ("_rank", "_worker_queues", "_rank_to_worker", "_local")
+    __slots__ = ("_run_id", "_inboxes", "_route", "_local")
 
     def __init__(
         self,
-        rank: int,
-        worker_queues: list[Any],
-        rank_to_worker: dict[int, int],
+        run_id: int,
+        inboxes: list[Any],
+        route: dict[int, int],
         local: "queue.Queue[Envelope]",
     ) -> None:
-        self._rank = rank
-        self._worker_queues = worker_queues
-        self._rank_to_worker = rank_to_worker
+        self._run_id = run_id
+        self._inboxes = inboxes
+        self._route = route
         self._local = local
 
     def send(self, dst: int, envelope: Envelope) -> None:
-        self._worker_queues[self._rank_to_worker[dst]].put((dst, envelope))
+        self._inboxes[self._route[dst]].put((self._run_id, dst, envelope))
 
     def recv(self, timeout: float) -> Envelope | None:
         try:
@@ -258,87 +264,196 @@ class _MpEndpoint:
             return None
 
 
+class _Job(NamedTuple):
+    """One worker's share of one run; the parent ships it pickled."""
+
+    run_id: int
+    programs: dict[int, RankProgram]
+    route: dict[int, int]  # rank -> index of the worker hosting it
+    stores: dict[int, dict[int, Any]]
+    accumulators: dict[int, Any]
+    use_combine: bool
+    use_reduce: bool
+    timeout: float
+
+
 def _mp_worker_main(
     worker_id: int,
-    ranks: list[int],
-    plan: ExecPlan,
-    rank_to_worker: dict[int, int],
-    worker_queues: list[Any],
-    result_queue: Any,
-    stores: dict[int, dict[int, Any]],
+    inboxes: list[Any],
+    results: Any,
     combine: Combine | None,
-    accumulators: dict[int, Any],
     reduce_op: Combine | None,
-    timeout: float,
     fault_ranks: frozenset[int],
 ) -> None:
-    """Entry point of one mp worker process: run its rank slice on
-    threads, route inbound envelopes via a dispatcher thread, and report
-    one ``(worker_id, status, payload)`` result."""
-    if any(rank in fault_ranks for rank in ranks):
-        os._exit(17)  # fault injection for the failure-path tests
-    deadline = time.monotonic() + timeout
-    inbox = worker_queues[worker_id]
-    local: dict[int, "queue.Queue[Envelope]"] = {
-        rank: queue.Queue() for rank in ranks
-    }
+    """Entry point of one pooled mp worker: serve runs until stopped.
+
+    A dispatcher thread owns the worker's inbox.  A job (pickled bytes)
+    opens a run with fresh rank-local queues, fed first with any
+    envelopes of that run that overtook the job.  An envelope
+    ``(run_id, dst, envelope)`` of the open run goes to its rank's
+    queue, one of a later run waits for that run's job, and one of an
+    earlier run is stale and dropped.  The main thread runs each job's
+    ranks on threads and reports one ``(worker_id, status, payload)``
+    result.  ``combine``/``reduce_op`` were captured at fork; a job only
+    says whether its run uses them.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's
+    parent = os.getppid()
+    inbox = inboxes[worker_id]
+    opened: queue.Queue[tuple[_Job, dict[int, queue.Queue[Envelope]]]] = (
+        queue.Queue()
+    )
 
     def dispatch() -> None:
-        # daemon thread: swallow queue teardown noise at process exit
+        run_id = -1
+        local: dict[int, "queue.Queue[Envelope]"] = {}
+        early: dict[int, list[tuple[int, Envelope]]] = {}
         try:
             while True:
                 message = inbox.get()
-                if message is None:
-                    return
-                dst, envelope = message
-                local[dst].put(envelope)
-        except (EOFError, OSError, ValueError, TypeError):
-            return
+                if type(message) is tuple:
+                    rid, dst, envelope = message
+                    if rid == run_id:
+                        local[dst].put(envelope)
+                    elif rid > run_id:
+                        early.setdefault(rid, []).append((dst, envelope))
+                    continue
+                job: _Job = pickle.loads(message)
+                run_id = job.run_id
+                local = {rank: queue.Queue() for rank in job.programs}
+                for dst, envelope in early.pop(run_id, ()):
+                    local[dst].put(envelope)
+                opened.put((job, local))
+        except Exception:
+            # an unreadable message: die loudly, and the parent's
+            # liveness check reports this worker's ranks
+            traceback.print_exc()
+            os._exit(1)
 
-    dispatcher = threading.Thread(target=dispatch, daemon=True)
-    dispatcher.start()
-    outcomes, blocked, failures = _run_rank_group(
-        plan,
-        ranks,
-        lambda rank: _MpEndpoint(
-            rank, worker_queues, rank_to_worker, local[rank]
-        ),
-        stores=stores,
-        combine=combine,
-        accumulators=accumulators,
-        reduce_op=reduce_op,
-        deadline=deadline,
-    )
-    inbox.put(None)
-    if failures:
-        rank = min(failures)
-        result_queue.put(
-            (worker_id, "error", f"rank {rank} failed: {failures[rank]}")
+    threading.Thread(target=dispatch, daemon=True).start()
+    while True:
+        try:
+            job, local = opened.get(timeout=_ORPHAN_POLL_S)
+        except queue.Empty:
+            if os.getppid() != parent:
+                os._exit(0)  # the parent died without closing the pool
+            continue
+        if fault_ranks.intersection(job.programs):
+            os._exit(17)  # fault injection for the failure-path tests
+        endpoints = {
+            rank: _MpEndpoint(job.run_id, inboxes, job.route, inbound)
+            for rank, inbound in local.items()
+        }
+        outcomes, blocked, failures = _run_rank_group(
+            job.programs,
+            endpoints.__getitem__,
+            stores=job.stores,
+            combine=combine if job.use_combine else None,
+            accumulators=job.accumulators,
+            reduce_op=reduce_op if job.use_reduce else None,
+            deadline=time.monotonic() + job.timeout,
         )
-    elif blocked:
-        result_queue.put(
-            (
-                worker_id,
-                "blocked",
-                [(b.rank, b.instr, b.total, b.src, b.code) for b in blocked],
+        if failures:
+            rank = min(failures)
+            results.put(
+                (worker_id, "error", f"rank {rank} failed: {failures[rank]}")
             )
+        elif blocked:
+            results.put(
+                (
+                    worker_id,
+                    "blocked",
+                    [(b.rank, b.instr, b.total, b.src, b.code) for b in blocked],
+                )
+            )
+        else:
+            results.put(
+                (
+                    worker_id,
+                    "ok",
+                    {r: (o.delivered, o.value) for r, o in outcomes.items()},
+                )
+            )
+
+
+def _stop_pool(procs: list[Any], queues: list[Any]) -> None:
+    for proc in procs:
+        proc.terminate()
+    for proc in procs:
+        proc.join(timeout=2.0)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    for q in queues:
+        q.close()
+
+
+class _MpPool:
+    """Forked workers, their inboxes and the shared result queue.
+
+    The workers captured ``combine``/``reduce_op`` at fork, so a run
+    may use this pool only if its non-``None`` callables are those.
+    ``stop`` stops the workers once: when called, when the owning
+    transport is collected, or at interpreter exit.
+    """
+
+    def __init__(
+        self,
+        owner: object,
+        size: int,
+        combine: Combine | None,
+        reduce_op: Combine | None,
+        fault_ranks: frozenset[int],
+    ) -> None:
+        ctx = _mp_context()
+        self.combine = combine
+        self.reduce_op = reduce_op
+        self.inboxes = [ctx.Queue() for _ in range(size)]
+        self.results = ctx.Queue()
+        self.procs = [
+            ctx.Process(
+                target=_mp_worker_main,
+                args=(
+                    w,
+                    self.inboxes,
+                    self.results,
+                    combine,
+                    reduce_op,
+                    fault_ranks,
+                ),
+                daemon=True,
+            )
+            for w in range(size)
+        ]
+        for proc in self.procs:
+            proc.start()
+        self.stop = weakref.finalize(
+            owner, _stop_pool, self.procs, [*self.inboxes, self.results]
         )
-    else:
-        result_queue.put(
-            (
-                worker_id,
-                "ok",
-                {r: (o.delivered, o.value) for r, o in outcomes.items()},
-            )
+
+    def serves(self, combine: Combine | None, reduce_op: Combine | None) -> bool:
+        return (
+            (combine is None or combine is self.combine)
+            and (reduce_op is None or reduce_op is self.reduce_op)
+            and all(proc.is_alive() for proc in self.procs)
         )
 
 
 class MpTransport:
-    """Real OS processes; ranks multiplexed onto a small worker pool.
+    """Real OS processes; ranks multiplexed onto a long-lived worker pool.
 
-    ``workers`` bounds the pool (default: core count, capped at 8).
-    With the ``fork`` start method (Linux) arbitrary ``combine``
-    callables work; under ``spawn`` they must be picklable.
+    ``workers`` sizes the pool (a positive int; default: core count,
+    capped at 8).  The pool is forked on the first :meth:`run` and kept
+    for later runs, in the master/worker shape of nengo_mpi: each run
+    ships one pickled job per used worker (its rank programs, stores
+    and accumulators) and the first ``min(workers, ranks)`` workers
+    host rank groups.  ``combine``/``reduce_op`` are captured at fork,
+    so lambdas need no pickling; a run whose callables differ from the
+    captured ones re-forks the pool.  Any failed run (rank error,
+    blocked ranks, dead or unresponsive worker) tears the pool down and
+    the next run forks a fresh one.  :meth:`close` (or leaving a
+    ``with`` block, or dropping the transport) stops the workers.
+    Under the ``spawn`` start method the callables must be picklable.
     """
 
     name = "mp"
@@ -346,8 +461,32 @@ class MpTransport:
     def __init__(
         self, workers: int | None = None, fault_ranks: Iterable[int] = ()
     ) -> None:
+        if workers is None:
+            workers = min(os.cpu_count() or 2, 8)
+        elif (
+            isinstance(workers, bool)
+            or not isinstance(workers, int)
+            or workers < 1
+        ):
+            raise ValueError(
+                f"mp transport: workers must be a positive int, got {workers!r}"
+            )
         self.workers = workers
         self.fault_ranks = frozenset(fault_ranks)
+        self._pool: _MpPool | None = None
+        self._run_id = 0
+
+    def close(self) -> None:
+        """Stop the worker pool, if any; a later run forks a new one."""
+        if self._pool is not None:
+            self._pool.stop()
+            self._pool = None
+
+    def __enter__(self) -> "MpTransport":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     def run(
         self,
@@ -362,99 +501,81 @@ class MpTransport:
         ranks = sorted(plan.programs)
         if not ranks:
             return TransportRun(delivered={}, values={})
-        pool = self.workers or min(len(ranks), os.cpu_count() or 2, 8)
-        pool = max(1, min(pool, len(ranks)))
-        groups = [list(ranks[w::pool]) for w in range(pool)]
-        rank_to_worker = {
-            rank: w for w, group in enumerate(groups) for rank in group
-        }
-        ctx = _mp_context()
-        worker_queues = [ctx.Queue() for _ in range(pool)]
-        result_queue = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_mp_worker_main,
-                args=(
-                    w,
-                    groups[w],
-                    plan,
-                    rank_to_worker,
-                    worker_queues,
-                    result_queue,
-                    {r: stores[r] for r in groups[w] if r in stores},
-                    combine,
-                    {r: accumulators[r] for r in groups[w] if r in accumulators},
-                    reduce_op,
+        used = min(self.workers, len(ranks))
+        groups = [ranks[w::used] for w in range(used)]
+        route = {rank: w for w, group in enumerate(groups) for rank in group}
+        self._run_id += 1
+        # pickle every job before sending any: a payload that cannot be
+        # pickled fails here, with the pool untouched
+        jobs = [
+            pickle.dumps(
+                _Job(
+                    self._run_id,
+                    {r: plan.programs[r] for r in group},
+                    route,
+                    {r: stores[r] for r in group if r in stores},
+                    {r: accumulators[r] for r in group if r in accumulators},
+                    combine is not None,
+                    reduce_op is not None,
                     timeout,
-                    self.fault_ranks,
                 ),
-                daemon=True,
+                pickle.HIGHEST_PROTOCOL,
             )
-            for w in range(pool)
+            for group in groups
         ]
-        for proc in procs:
-            proc.start()
+        if self._pool is None or not self._pool.serves(combine, reduce_op):
+            self.close()
+            self._pool = _MpPool(
+                self, self.workers, combine, reduce_op, self.fault_ranks
+            )
+        pool = self._pool
         try:
-            results = self._collect(procs, groups, result_queue, timeout)
-        finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in procs:
-                proc.join(timeout=2.0)
-        errors = [p for _, (s, p) in sorted(results.items()) if s == "error"]
-        if errors:
-            raise ExecError(f"mp transport: {errors[0]}")
-        blocked = [
-            RankBlocked(*info)
-            for _, (status, payload) in sorted(results.items())
-            if status == "blocked"
-            for info in payload
-        ]
-        if blocked:
-            _raise_blocked(plan, blocked, self.name, timeout)
+            for inbox, job in zip(pool.inboxes, jobs):
+                inbox.put(job)
+            results = self._collect(pool, groups, timeout)
+            errors = [p for s, p in results if s == "error"]
+            if errors:
+                raise ExecError(f"mp transport: {errors[0]}")
+            blocked = [
+                RankBlocked(*info)
+                for status, payload in results
+                if status == "blocked"
+                for info in payload
+            ]
+            if blocked:
+                _raise_blocked(plan, blocked, self.name, timeout)
+        except BaseException:
+            self.close()
+            raise
         delivered: dict[int, list[tuple[int, int]]] = {}
         values: dict[int, Any] = {}
-        for _, (_status, payload) in sorted(results.items()):
+        for _status, payload in results:
             for rank, (dlv, value) in payload.items():
                 delivered[rank] = dlv
                 values[rank] = value
         return TransportRun(delivered=delivered, values=values)
 
+    @staticmethod
     def _collect(
-        self,
-        procs: list[Any],
-        groups: list[list[int]],
-        result_queue: Any,
-        timeout: float,
-    ) -> dict[int, tuple[str, Any]]:
+        pool: _MpPool, groups: list[list[int]], timeout: float
+    ) -> list[tuple[str, Any]]:
+        """One ``(status, payload)`` per used worker, in worker order."""
         results: dict[int, tuple[str, Any]] = {}
         deadline = time.monotonic() + timeout + _GRACE_S
-        while len(results) < len(procs):
+        while len(results) < len(groups):
             try:
-                worker_id, status, payload = result_queue.get(timeout=0.25)
-                results[worker_id] = (status, payload)
-                continue
+                worker_id, status, payload = pool.results.get(timeout=0.25)
             except queue.Empty:
                 pass
-            for w, proc in enumerate(procs):
-                if (
-                    w not in results
-                    and not proc.is_alive()
-                    and proc.exitcode not in (0, None)
-                ):
-                    # drain any result that raced the exit check
-                    try:
-                        worker_id, status, payload = result_queue.get(
-                            timeout=0.25
-                        )
-                        results[worker_id] = (status, payload)
-                        continue
-                    except queue.Empty:
-                        pass
+            else:
+                results[worker_id] = (status, payload)
+                continue
+            for w, group in enumerate(groups):
+                proc = pool.procs[w]
+                if w not in results and not proc.is_alive():
                     raise ExecError(
                         f"mp transport: worker {w} hosting ranks "
-                        f"{format_rank_set(groups[w])} exited with code "
+                        f"{format_rank_set(group)} exited with code "
                         f"{proc.exitcode} before completing; remaining "
                         f"workers were terminated"
                     )
@@ -464,7 +585,7 @@ class MpTransport:
                     f"{_GRACE_S:.0f}s past the {timeout:.1f}s deadline; "
                     f"terminating the pool"
                 )
-        return results
+        return [results[w] for w in range(len(groups))]
 
 
 class MpiTransport:

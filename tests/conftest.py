@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+
 import pytest
 
 from repro.params import LogPParams, postal
@@ -9,6 +12,15 @@ from repro.schedule.analysis import broadcast_delay_per_proc, item_completion_ti
 from repro.schedule.ops import Schedule
 from repro.sim.machine import replay
 from repro.sim.validate import single_reception_violations
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_mp_worker_outlives_the_suite():
+    """Fail the suite if any mp transport worker is still running."""
+    yield
+    gc.collect()
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"mp workers outlived the test session: {leaked}"
 
 
 @pytest.fixture

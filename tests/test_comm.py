@@ -1,5 +1,6 @@
 """Tests for the high-level Communicator / VirtualCluster API."""
 
+import multiprocessing
 import operator
 
 import pytest
@@ -133,6 +134,30 @@ class TestVirtualClusterData:
         cluster = VirtualCluster(postal(P=9, L=3))
         results, _ = cluster.allreduce([2, 9, 4, 7, 1, 8, 3, 5, 6], op=max)
         assert results == [9] * 9
+
+
+class TestVirtualClusterBackend:
+    def test_unknown_backend_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
+            VirtualCluster(postal(P=4, L=2), backend="carrier-pigeon")
+
+    @pytest.mark.parametrize("backend", ["inproc", "mp"])
+    def test_reduce_with_two_lambdas(self, backend):
+        # a new lambda re-forks the mp pool, which captured the old one
+        cluster = VirtualCluster(LogPParams(P=4, L=6, o=2, g=4), backend=backend)
+        assert cluster.reduce([1, 2, 3, 4], op=lambda a, b: a + b) == (10, 18)
+        assert cluster.reduce([1, 2, 3, 4], op=lambda a, b: a * b) == (24, 18)
+
+    def test_mp_cluster_reuses_one_pool_across_collectives(self):
+        before = {p.pid for p in multiprocessing.active_children()}
+        cluster = VirtualCluster(postal(P=6, L=2), backend="mp")
+        assert cluster.bcast("x", root=2)[0] == ["x"] * 6
+        pool = {p.pid for p in multiprocessing.active_children()} - before
+        assert pool
+        assert cluster.allgather(list("abcdef"))[0] == [list("abcdef")] * 6
+        assert {p.pid for p in multiprocessing.active_children()} - before == pool
+        del cluster
+        assert not pool & {p.pid for p in multiprocessing.active_children()}
 
 
 class TestSubCommunicators:

@@ -9,6 +9,8 @@ surface as one-line diagnostics naming the offending ranks instead of
 hanging the caller.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,33 +282,105 @@ class TestTransports:
         assert "1" in format_rank_set([1]) and "1" in str(err.value)
 
     def test_inproc_timeout_reports_blocked_ranks(self):
-        # rank 0 waits forever for a message rank 1 never sends: a
-        # hand-built plan (lowering would reject the schedule)
-        params = LogPParams(P=2, L=2, o=0, g=1)
-        table = ItemTable()
-        code = table.intern("never")
-        program = RankProgram(
-            rank=0,
-            kinds=np.array([KIND_RECV], dtype=np.int8),
-            peers=np.array([1], dtype=np.int64),
-            items=np.array([code], dtype=np.int64),
-            deps=np.array([-1], dtype=np.int64),
-            reduce_operands={},
-            table=table,
-        )
-        plan = ExecPlan(
-            params=params,
-            table=table,
-            programs={0: program},
-            initial={},
-            num_sends=0,
-        )
         with pytest.raises(ExecTimeout) as err:
-            execute(plan, transport="inproc", timeout=0.4)
+            execute(_never_received_plan(), transport="inproc", timeout=0.4)
         message = str(err.value)
         assert "timeout: inproc transport hit the 0.4s deadline" in message
         assert "1 of 2 ranks blocked (ranks 0)" in message
         assert "rank 0 waits to receive item 'never' from rank 1" in message
+
+    def test_mp_timeout_reports_blocked_ranks_then_recovers(self):
+        schedule = registry.plan("broadcast", P=4, L=6, o=2, g=4)
+        with MpTransport(workers=2) as transport:
+            with pytest.raises(ExecTimeout) as err:
+                execute(_never_received_plan(), transport=transport, timeout=0.4)
+            message = str(err.value)
+            assert "timeout: mp transport hit the 0.4s deadline" in message
+            assert "1 of 2 ranks blocked (ranks 0)" in message
+            assert "rank 0 waits to receive item 'never' from rank 1" in message
+            result = execute(schedule, transport=transport, verify=True)
+            assert result.num_delivered == 3
+
+
+def _child_pids() -> set[int]:
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+class TestMpPool:
+    def test_runs_reuse_worker_pids_and_match_inproc(self):
+        schedule = registry.plan("all-to-all", P=8, L=3)
+        inproc = execute(schedule, transport="inproc").trace.to_json()
+        before = _child_pids()
+        with MpTransport(workers=2) as transport:
+            first = execute(schedule, transport=transport).trace.to_json()
+            pool = _child_pids() - before
+            second = execute(schedule, transport=transport).trace.to_json()
+            assert len(pool) == 2
+            assert _child_pids() - before == pool
+        assert first == second == inproc
+
+    def test_no_worker_outlives_its_transport(self):
+        schedule = registry.plan("broadcast", P=8, L=6, o=2, g=4)
+        before = _child_pids()
+        execute(schedule, transport="mp")
+        assert not _child_pids() - before
+        transport = MpTransport(workers=2)
+        execute(schedule, transport=transport)
+        assert len(_child_pids() - before) == 2
+        transport.close()
+        assert not _child_pids() - before
+        execute(schedule, transport=transport)  # forks a fresh pool
+        assert len(_child_pids() - before) == 2
+        del transport
+        assert not _child_pids() - before
+
+    def test_envelopes_route_by_run_id(self):
+        # white-box: hand-deliver the item rank 0 waits for, which no
+        # rank sends, straight into the worker's inbox
+        plan = _never_received_plan()
+        envelope = (1, plan.encode("never"), "sent by hand")
+        with MpTransport(workers=1) as transport:
+            execute(registry.plan("broadcast", P=2, L=2, o=0, g=1), transport=transport)
+            inbox = transport._pool.inboxes[0]
+            # an envelope of the next run that overtakes its job waits for it
+            inbox.put((transport._run_id + 1, 0, envelope))
+            result = execute(plan, transport=transport, timeout=5.0)
+            assert result.values[0] == {"never": "sent by hand"}
+            # an envelope of a finished run never reaches a later one
+            inbox.put((transport._run_id, 0, envelope))
+            with pytest.raises(ExecTimeout, match="1 of 2 ranks blocked"):
+                execute(plan, transport=transport, timeout=0.4)
+
+    @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
+    def test_rejects_bad_worker_counts(self, workers):
+        with pytest.raises(
+            ValueError, match=rf"workers must be a positive int, got {workers!r}"
+        ):
+            MpTransport(workers=workers)
+
+
+def _never_received_plan() -> ExecPlan:
+    """Rank 0 waits forever for a message rank 1 never sends: a
+    hand-built plan (lowering would reject the schedule)."""
+    params = LogPParams(P=2, L=2, o=0, g=1)
+    table = ItemTable()
+    code = table.intern("never")
+    program = RankProgram(
+        rank=0,
+        kinds=np.array([KIND_RECV], dtype=np.int8),
+        peers=np.array([1], dtype=np.int64),
+        items=np.array([code], dtype=np.int64),
+        deps=np.array([-1], dtype=np.int64),
+        reduce_operands={},
+        table=table,
+    )
+    return ExecPlan(
+        params=params,
+        table=table,
+        programs={0: program},
+        initial={},
+        num_sends=0,
+    )
 
 
 class TestBlockedFormatting:
