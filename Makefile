@@ -12,14 +12,22 @@ test:
 
 # Static gates: the codebase checkers (REPRO001 hot-loop gate and the
 # rest, via `repro check`), then a lint smoke over every builder the
-# collective registry knows (the list is generated, not hand-maintained);
-# ruff and mypy run when installed, else are skipped loudly — CI installs
-# both, so nothing is skipped there.
+# collective registry knows (the list is generated, not hand-maintained)
+# and a chunked lint of P=10^6 implicit plans (both builders, both tree
+# families); ruff and mypy run when installed, else are skipped loudly —
+# CI installs both, so nothing is skipped there.
 lint:
 	PYTHONPATH=src $(PY) -m repro.cli check src/repro
 	@for b in $$(PYTHONPATH=src $(PY) -m repro.cli builders --names); do \
 		echo "== lint --builder $$b"; \
 		PYTHONPATH=src $(PY) -m repro.cli lint --builder $$b || exit 1; \
+	done
+	@for b in broadcast reduction; do \
+		for f in optimal binomial; do \
+			echo "== lint --builder $$b --implicit --family $$f"; \
+			PYTHONPATH=src $(PY) -m repro.cli lint --builder $$b --implicit \
+				-P 1000000 -L 4 --o 1 --g 2 --family $$f || exit 1; \
+		done; \
 	done
 	@for f in tests/data/lint_corpus/*.json; do \
 		case $$f in */expected.json) continue;; esac; \

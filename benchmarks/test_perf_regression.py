@@ -183,6 +183,19 @@ def test_implicit_lint_p1e6_bounded_memory():
     )
 
 
+def test_implicit_optimal_lint_p1e6_under_100ms():
+    """Run-length tree queries: every chunk of a P=10^6 optimal
+    broadcast reads the family's run table (one ``np.repeat`` per
+    chunk), so the whole lint takes well under 0.1 s (measured ~0.03 s;
+    the per-delay scan it replaced took ~0.2 s)."""
+    from repro.bench import bench_implicit_lint
+
+    row = bench_implicit_lint(1_000_000, repeat=3)
+    assert row["sends"] == 999_999
+    assert row["lint_errors"] == 0
+    assert row["lint_s"] < 0.1, f"P=1e6 optimal lint took {row['lint_s']:.3f}s"
+
+
 def test_recorded_bench_implicit_gate():
     """The committed BENCH_PR6.json must record the headline P=10^6
     bounded-memory lint so regressions show up in review, not just

@@ -298,6 +298,8 @@ def lint_implicit(
     Returns the same :class:`~repro.analyze.diagnostics.LintReport`
     shape as :func:`repro.analyze.lint_schedule`.
     """
+    if max_sends < 1:
+        raise ValueError(f"max_sends must be >= 1, got {max_sends}")
     started = time.perf_counter()
     chosen = resolve_rules(select, ignore)
     if select is not None:
@@ -320,8 +322,8 @@ def lint_implicit(
         if rule.id in AGGREGATE_RULES and _applies(rule, impl)
     ]
     if per_chunk:
-        for lo in range(0, impl.num_sends, max(int(max_sends), 1)):
-            hi = min(lo + max(int(max_sends), 1), impl.num_sends)
+        for lo in range(0, impl.num_sends, max_sends):
+            hi = min(lo + max_sends, impl.num_sends)
             facts = impl.chunk_with_facts(lo, hi)
             for tally in per_chunk:
                 mask, make = _chunk_masks(tally.rule.id, facts)

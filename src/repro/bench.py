@@ -304,7 +304,7 @@ def bench_implicit_lint(
     from repro.analyze.chunked import lint_implicit
     from repro.schedule.implicit import DEFAULT_CHUNK_SENDS
 
-    chunk = chunk_sends or DEFAULT_CHUNK_SENDS
+    chunk = DEFAULT_CHUNK_SENDS if chunk_sends is None else chunk_sends
     params = LogPParams(P=P, L=L, o=o, g=g)
     build_s, implicit = time_call(
         lambda: registry.plan("broadcast", params, storage="implicit"), repeat

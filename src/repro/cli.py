@@ -435,7 +435,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
             )
             report = lint_implicit(
                 implicit,
-                max_sends=args.chunk_sends or DEFAULT_CHUNK_SENDS,
+                max_sends=(
+                    DEFAULT_CHUNK_SENDS
+                    if args.chunk_sends is None
+                    else args.chunk_sends
+                ),
                 select=args.select or None,
                 ignore=args.ignore or None,
             )

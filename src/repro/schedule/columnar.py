@@ -64,6 +64,21 @@ class ItemTable:
         for item in items:
             self.intern(item)
 
+    @classmethod
+    def distinct(cls, items: Iterable[Item]) -> ItemTable:
+        """A table of ``items`` that are distinct by construction, built
+        in one ``dict`` pass; raises ``ValueError`` if one repeats."""
+        table = cls()
+        table._items = list(items)
+        table._codes = dict(zip(table._items, range(len(table._items))))
+        if len(table._codes) != len(table._items):
+            seen: set[Item] = set()
+            for item in table._items:
+                if item in seen:
+                    raise ValueError(f"item {item!r} repeats in a distinct ItemTable")
+                seen.add(item)
+        return table
+
     def intern(self, item: Item) -> int:
         """Return the code for ``item``, assigning the next one if new."""
         code = self._codes.get(item)

@@ -39,6 +39,7 @@ CLI: ``repro lint --builder bcast --implicit -P 1000000``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable, Iterator, Mapping
 
 import numpy as np
@@ -112,6 +113,20 @@ class TreeFamily:
     def inform_times(self, ranks: np.ndarray) -> np.ndarray:
         """Cycle each rank first holds the item (0 for the root)."""
         raise NotImplementedError
+
+    def edge_facts(
+        self, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(informs, parents, parent_informs)`` for ranks ``lo+1..hi``.
+
+        The facts of edges ``[lo, hi)`` in destination-rank order, i.e.
+        one chunk of :class:`ImplicitSchedule`.  Composed here from
+        :meth:`inform_times` / :meth:`parents`; a family whose ranks come
+        in runs overrides it with a gather over the runs.
+        """
+        ranks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        parents = self.parents(ranks)
+        return self.inform_times(ranks), parents, self.inform_times(parents)
 
     def children(self, rank: int) -> np.ndarray:
         """Child ranks of ``rank`` in increasing send-time order."""
@@ -200,75 +215,105 @@ class OptimalTreeFamily(TreeFamily):
 
     Ranks are assigned in inform-time order using the
     :func:`~repro.core.fib.node_census` counts ``N(d)``: the ranks
-    informed exactly at delay ``d`` occupy the contiguous block
-    ``[cum(d), cum(d) + N(d))`` where ``cum`` is the exclusive census
-    prefix sum, ordered within the block by (gap index ``j``, parent
-    offset).  Parent and child queries are then prefix-sum arithmetic
-    plus a ``searchsorted`` over per-delay gap sums; the state is the
-    O(B(P)) census table, never O(P).  The makespan is exactly
-    ``B(P)`` (Theorem 2.1), which is what makes a lint of this family
-    report a zero SCHED008 optimality gap.
+    informed exactly at delay ``d`` occupy one contiguous block, ordered
+    within it by (gap index ``j``, parent offset).  The ``N(d - cost -
+    j*g)`` ranks of gap ``j`` are the ``j``-th children of the ranks at
+    delay ``d - cost - j*g``, in the same order, so inside each
+    ``(d, j)`` run a rank's parent is the rank minus a constant.
+
+    The state is a run table built once from the O(B(P)) census: one
+    row per non-empty run (start rank, delay, parent delay, parent
+    shift), O(B(P)^2/g) rows — 848 at P=1,000,123, L=6, o=2, g=4 — and
+    never more than ``P`` (each run starts at a distinct rank).  Every
+    query reads it: rank arrays by one ``searchsorted`` over the run
+    starts, contiguous rank ranges (:meth:`edge_facts`) by ``np.repeat``
+    over the runs they cross.  The makespan is exactly ``B(P)``
+    (Theorem 2.1), which is what makes a lint of this family report a
+    zero SCHED008 optimality gap.
     """
 
     name = "optimal"
 
     def __init__(self, params: LogPParams):
         super().__init__(params)
+        cost = params.send_cost
+        g = params.g
         self._t = broadcast_time(self.P, params)
-        census = node_census(self._t, params)
-        prefix = [0] * (len(census) + 1)
-        for delay, count in enumerate(census):
-            prefix[delay + 1] = prefix[delay] + count
-        self._census = np.asarray(census, dtype=np.int64)
-        self._cum_excl = np.asarray(prefix, dtype=np.int64)
+        census = np.asarray(node_census(self._t, params), dtype=np.int64)
+        cum_excl = np.concatenate(([0], np.cumsum(census)))
+        # one run per (parent delay p with N(p) > 0, gap j) with child
+        # delay d = p + cost + j*g <= B(P): the N(p) ranks informed at p
+        # send their j-th children there.  Rank order is (d, j) order.
+        senders = np.flatnonzero(census)
+        gaps = np.maximum((self._t - cost - senders) // g + 1, 0)
+        parent_delay = np.repeat(senders, gaps)
+        j = np.arange(len(parent_delay), dtype=np.int64) - np.repeat(
+            np.cumsum(gaps) - gaps, gaps
+        )
+        run_delay = parent_delay + cost + j * g
+        order = np.lexsort((j, run_delay))
+        run_delay = run_delay[order]
+        parent_delay = parent_delay[order]
+        sizes = census[parent_delay]
+        ahead = np.cumsum(sizes) - sizes
+        block = np.searchsorted(run_delay, run_delay, side="left")
+        start = cum_excl[run_delay] + ahead - ahead[block]
+        # drop the truncated tail beyond rank P-1; the root is the run
+        # [0, 1) with no parent
+        keep = start < self.P
+        self._run_start = np.concatenate(([0], start[keep]))
+        self._run_delay = np.concatenate(([0], run_delay[keep]))
+        self._run_parent_delay = np.concatenate(([-1], parent_delay[keep]))
+        self._run_shift = np.concatenate(
+            ([0], (start - cum_excl[parent_delay])[keep])
+        )
+
+    @property
+    def num_runs(self) -> int:
+        """Rows of the run table (the root's run included)."""
+        return len(self._run_start)
+
+    def _runs(self, ranks: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._run_start, ranks, side="right") - 1
 
     def delays(self, ranks: np.ndarray) -> np.ndarray:
         """Inform delay of each rank (== inform time; labels are cycles)."""
-        found = np.searchsorted(self._cum_excl, ranks, side="right") - 1
-        return found.astype(np.int64)
+        return self._run_delay[self._runs(ranks)]
 
     def inform_times(self, ranks: np.ndarray) -> np.ndarray:
         return self.delays(ranks)
 
     def parents(self, ranks: np.ndarray) -> np.ndarray:
-        cost = self.params.send_cost
-        g = self.params.g
-        delays = self.delays(ranks)
-        offsets = ranks - self._cum_excl[delays]
-        out = np.empty(len(ranks), dtype=np.int64)
-        # a 64K-rank chunk spans only a handful of distinct delays (the
-        # census grows geometrically), so this loop is O(B(P)) total
-        for delay in np.unique(delays).tolist():
-            group = delays == delay
-            # nodes at this delay, grouped by the parent's gap index j:
-            # gap j holds N(delay - cost - j*g) of them
-            gap_counts = self._census[delay - cost :: -g]
-            gap_sums = np.cumsum(gap_counts)
-            j = np.searchsorted(gap_sums, offsets[group], side="right")
-            before = np.where(j > 0, gap_sums[np.maximum(j - 1, 0)], 0)
-            parent_delay = delay - cost - j * g
-            out[group] = self._cum_excl[parent_delay] + offsets[group] - before
-        return out
+        return ranks - self._run_shift[self._runs(ranks)]
+
+    def edge_facts(
+        self, lo: int, hi: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if hi <= lo:
+            empty = np.zeros(0, dtype=np.int64)
+            return empty, empty, empty
+        first, last = self._runs(np.asarray([lo + 1, hi], dtype=np.int64))
+        runs = slice(first, last + 1)
+        bounds = np.concatenate(
+            ([lo + 1], self._run_start[first + 1 : last + 1], [hi + 1])
+        )
+        lengths = np.diff(bounds)
+        ranks = np.arange(lo + 1, hi + 1, dtype=np.int64)
+        return (
+            np.repeat(self._run_delay[runs], lengths),
+            ranks - np.repeat(self._run_shift[runs], lengths),
+            np.repeat(self._run_parent_delay[runs], lengths),
+        )
 
     def children(self, rank: int) -> np.ndarray:
-        cost = self.params.send_cost
-        g = self.params.g
-        delay = int(self.delays(np.asarray([rank], dtype=np.int64))[0])
-        offset = rank - int(self._cum_excl[delay])
-        kids = []
-        ahead = 0  # sum of N(delay + m*g) for m = 1..j
-        gap = 0
-        child_delay = delay + cost
-        while child_delay <= self._t:
-            child = int(self._cum_excl[child_delay]) + ahead + offset
-            if child < self.P:
-                kids.append(child)
-            gap += 1
-            # beyond B(P) the census is all zeros (and unstored)
-            if delay + gap * g <= self._t:
-                ahead += int(self._census[delay + gap * g])
-            child_delay += g
-        return np.asarray(kids, dtype=np.int64)
+        run = int(self._runs(np.asarray([rank], dtype=np.int64))[0])
+        delay = self._run_delay[run]
+        # offset within the delay block: child j sits at the same offset
+        # in the run of gap j whose parents are at this delay
+        block = np.searchsorted(self._run_delay, delay, side="left")
+        offset = rank - int(self._run_start[block])
+        kids = self._run_start[self._run_parent_delay == delay] + offset
+        return kids[kids < self.P]
 
     @property
     def makespan(self) -> int:
@@ -444,22 +489,32 @@ class ImplicitSchedule:
 
     def _edge_arrays(
         self, lo: int, hi: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(dst_ranks, informs, times, srcs, dsts)`` for edges [lo, hi).
+    ) -> tuple[
+        np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray
+    ]:
+        """``(dst_ranks, informs, parent_informs, times, srcs, dsts)`` for
+        edges [lo, hi), from one :meth:`TreeFamily.edge_facts` call.
 
-        ``dst_ranks``/``informs`` are pre-remap family facts; ``times``
-        carry the shift offset and ``srcs``/``dsts`` the remap.
+        ``dst_ranks``/``informs``/``parent_informs`` are pre-remap family
+        facts; ``times`` carry the shift offset and ``srcs``/``dsts`` the
+        remap.
         """
         ranks = np.arange(lo + 1, hi + 1, dtype=np.int64)
-        informs = self.family.inform_times(ranks)
-        parents = self.family.parents(ranks)
+        informs, parents, parent_informs = self.family.edge_facts(lo, hi)
         if self.is_reduction:
             times = (self.family.makespan - informs) + self.offset
             srcs, dsts = ranks, parents
         else:
             times = (informs - self.params.send_cost) + self.offset
             srcs, dsts = parents, ranks
-        return ranks, informs, times, self._map_array(srcs), self._map_array(dsts)
+        return (
+            ranks,
+            informs,
+            parent_informs,
+            times,
+            self._map_array(srcs),
+            self._map_array(dsts),
+        )
 
     def _columns(
         self,
@@ -469,7 +524,7 @@ class ImplicitSchedule:
         dsts: np.ndarray,
     ) -> ScheduleColumns:
         if self.is_reduction:
-            table = ItemTable(("rev", int(rank)) for rank in ranks.tolist())
+            table = ItemTable.distinct(zip(repeat("rev"), ranks.tolist()))
             codes = np.arange(len(ranks), dtype=np.int64)
         else:
             table = ItemTable([0])
@@ -492,14 +547,16 @@ class ImplicitSchedule:
         convention (all codes 0).
         """
         self._check_range(lo, hi)
-        ranks, _, times, srcs, dsts = self._edge_arrays(lo, hi)
+        ranks, _, _, times, srcs, dsts = self._edge_arrays(lo, hi)
         return self._columns(ranks, times, srcs, dsts)
 
     def chunk_with_facts(self, lo: int, hi: int) -> ChunkFacts:
         """:meth:`chunk` plus closed-form availability facts (see
         :class:`ChunkFacts`)."""
         self._check_range(lo, hi)
-        ranks, informs, times, srcs, dsts = self._edge_arrays(lo, hi)
+        ranks, informs, parent_informs, times, srcs, dsts = self._edge_arrays(
+            lo, hi
+        )
         cols = self._columns(ranks, times, srcs, dsts)
         if self.is_reduction:
             # each partial is created at its (single) send; it reaches
@@ -507,8 +564,7 @@ class ImplicitSchedule:
             send_avail = times
             dst_avail = cols.arrivals
         else:
-            parents = self.family.parents(ranks)
-            send_avail = self.family.inform_times(parents) + self.offset
+            send_avail = parent_informs + self.offset
             dst_avail = informs + self.offset
         return ChunkFacts(
             lo=lo, hi=hi, cols=cols, send_avail=send_avail, dst_avail=dst_avail
@@ -589,7 +645,7 @@ class ImplicitSchedule:
         mode, for :meth:`materialize` only."""
         if not self.is_reduction or not self.num_sends:
             return {}
-        ranks, _, times, _, _ = self._edge_arrays(0, self.num_sends)
+        ranks, _, _, times, _, _ = self._edge_arrays(0, self.num_sends)
         return {
             ("rev", int(rank)): int(when)
             for rank, when in zip(ranks.tolist(), times.tolist())

@@ -10,7 +10,9 @@ against: plain per-``SendOp`` loops written for clarity, not speed.
 * :mod:`tests.oracles.analysis` — availability, completion, delays;
 * :mod:`tests.oracles.validate` — the scalar LogP legality checker;
 * :mod:`tests.oracles.transform` — every schedule pass, one loop each;
-* :mod:`tests.oracles.builders` — per-send loop builders.
+* :mod:`tests.oracles.builders` — per-send loop builders;
+* :mod:`tests.oracles.implicit` — the optimal tree's per-delay scan
+  (parents, delays, chunk edge facts).
 
 Hypothesis twins compare oracle and kernel outputs (violation strings
 as a multiset, schedules as canonical JSON); the perf gates in

@@ -66,6 +66,18 @@ class TestItemTable:
         assert len(table) == 1
         assert len(clone) == 2
 
+    def test_distinct_builds_the_same_table_in_bulk(self):
+        items = [("rev", r) for r in (5, 1, 9)]
+        bulk = ItemTable.distinct(iter(items))
+        one_by_one = ItemTable(items)
+        assert bulk.items == one_by_one.items
+        assert bulk.codes == one_by_one.codes
+        assert ItemTable.distinct([]).items == []
+
+    def test_distinct_rejects_a_repeated_item(self):
+        with pytest.raises(ValueError, match=r"item \('rev', 1\) repeats"):
+            ItemTable.distinct([("rev", 1), ("rev", 2), ("rev", 1)])
+
     def test_corrupt_codes_raise_index_error(self):
         # corrupted/foreign columns used to wrap around via Python's
         # negative indexing (-1 silently decoded to the *last* item)

@@ -122,6 +122,11 @@ class TestFamilies:
         assert two.num_sends == 1
         assert two.makespan == two.params.send_cost
 
+    def test_optimal_run_table_is_bounded_by_B_not_P(self):
+        # one run per non-empty (delay, gap) block: O(B(P)^2/g) rows
+        family = OptimalTreeFamily(LogPParams(P=1_000_000, L=6, o=2, g=4))
+        assert family.num_runs < 2000
+
     def test_family_listing_and_unknown_name(self):
         assert implicit_families() == ("binomial", "optimal")
         with pytest.raises(ValueError, match="unknown implicit family 'fft'"):
@@ -358,6 +363,11 @@ class TestChunkedLint:
         report = lint_implicit(impl)
         assert not set(WHOLE_SCHEDULE_RULES) & set(report.rules_run)
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_rejects_bad_chunk_sizes(self, bad):
+        with pytest.raises(ValueError, match=f"max_sends must be >= 1, got {bad}"):
+            lint_implicit(implicit_broadcast(FIG1), max_sends=bad)
+
     def test_select_and_ignore_narrow_the_sweep(self):
         impl = implicit_broadcast(FIG1)
         only = lint_implicit(impl, select=["SCHED002"])
@@ -414,6 +424,18 @@ class TestCLI:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("bad", ["0", "-3"])
+    def test_lint_implicit_rejects_bad_chunk_sends(self, capsys, bad):
+        code = main(
+            [
+                "lint", "--builder", "bcast", "--implicit",
+                "--chunk-sends", bad, "-P", "100", "-L", "2",
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"max_sends must be >= 1, got {bad}" in err
 
     def test_lint_implicit_requires_builder(self, capsys):
         assert main(["lint", "--implicit", "-P", "8", "-L", "2"]) == 2

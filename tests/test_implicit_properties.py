@@ -18,6 +18,7 @@ from repro.analyze.chunked import lint_implicit
 from repro.params import LogPParams
 from repro.schedule.columnar import materialize_sends
 from repro.schedule.implicit import (
+    OptimalTreeFamily,
     implicit_broadcast,
     implicit_reduction,
 )
@@ -25,6 +26,11 @@ from repro.schedule.ops import Schedule
 from repro.schedule.serialize import schedule_to_json
 from repro.sim.validate import violations
 from repro.sim.validate_np import violations_np_implicit
+from tests.oracles.implicit import (
+    optimal_delays,
+    optimal_edge_facts,
+    optimal_parents,
+)
 
 
 @st.composite
@@ -40,6 +46,17 @@ def _plans(draw, max_P=48):
     family = draw(st.sampled_from(["optimal", "binomial"]))
     build = draw(st.sampled_from([implicit_broadcast, implicit_reduction]))
     return build(params, family=family)
+
+
+@st.composite
+def _machines(draw, max_P=5000):
+    g = draw(st.integers(1, 5))
+    return LogPParams(
+        P=draw(st.integers(1, max_P)),
+        L=draw(st.integers(1, 9)),
+        o=draw(st.integers(0, min(3, g))),
+        g=g,
+    )
 
 
 @st.composite
@@ -151,3 +168,51 @@ class TestLintAgreement:
             if d.rule in chunked.rule_totals
         )
         assert ours == theirs
+
+
+class TestRunTableAgainstOracle:
+    """The optimal family's run table against the per-delay scan it
+    replaced (``tests.oracles.implicit``)."""
+
+    @given(params=_machines(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_edge_facts_match_oracle_on_ranges(self, params, data):
+        family = OptimalTreeFamily(params)
+        edges = params.P - 1
+        starts = family._run_start[1:].tolist()
+        # random ranges, one-rank ranges, and ranges that start, end or
+        # straddle at a run boundary (rank r is edge r - 1)
+        ranges = [(0, edges)]
+        for _ in range(4):
+            lo = data.draw(st.integers(0, edges))
+            ranges.append((lo, data.draw(st.integers(lo, edges))))
+            ranges.append((lo, min(lo + 1, edges)))
+        for start in starts[:: max(len(starts) // 8, 1)]:
+            edge = start - 1
+            ranges.append((edge, min(edge + 1, edges)))
+            ranges.append((max(edge - 2, 0), min(edge + 3, edges)))
+            ranges.append((max(edge - 1, 0), edge))
+        for lo, hi in ranges:
+            got = family.edge_facts(lo, hi)
+            want = optimal_edge_facts(params, lo, hi)
+            for ours, theirs in zip(got, want):
+                assert ours.dtype == np.int64
+                assert ours.tolist() == theirs.tolist(), (lo, hi)
+
+    @given(params=_machines(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_queries_match_oracle_on_unsorted_arrays(self, params, data):
+        family = OptimalTreeFamily(params)
+        ranks = np.asarray(
+            data.draw(
+                st.lists(st.integers(0, params.P - 1), min_size=1, max_size=64)
+            ),
+            dtype=np.int64,
+        )
+        assert family.inform_times(ranks).tolist() == (
+            optimal_delays(params, ranks).tolist()
+        )
+        nonroot = ranks[ranks >= 1]
+        assert family.parents(nonroot).tolist() == (
+            optimal_parents(params, nonroot).tolist()
+        )
