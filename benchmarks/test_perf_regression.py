@@ -196,6 +196,29 @@ def test_implicit_optimal_lint_p1e6_under_100ms():
     assert row["lint_s"] < 0.1, f"P=1e6 optimal lint took {row['lint_s']:.3f}s"
 
 
+def test_registry_broadcast_3x_faster_than_heap_at_p512():
+    """One labeling of the universal tree: the registry broadcast is the
+    materialized run table, which must beat the per-processor heap it
+    replaced (``tests.oracles.tree``) by at least 3x at P=512 while
+    building the identical schedule."""
+    from repro.params import LogPParams
+    from repro.registry import plan
+
+    from tests.oracles.tree import optimal_broadcast_schedule_heap
+
+    params = LogPParams(P=512, L=6, o=2, g=4)
+    table_s, built = time_call(lambda: plan("broadcast", params), repeat=5)
+    heap_s, heap = time_call(
+        lambda: optimal_broadcast_schedule_heap(params), repeat=5
+    )
+    assert built == heap
+    speedup = heap_s / table_s
+    assert speedup >= 3.0, (
+        f"run-table broadcast only {speedup:.1f}x faster than the heap "
+        f"({heap_s * 1e6:.0f}us vs {table_s * 1e6:.0f}us); floor is 3x"
+    )
+
+
 def test_recorded_bench_implicit_gate():
     """The committed BENCH_PR6.json must record the headline P=10^6
     bounded-memory lint so regressions show up in review, not just

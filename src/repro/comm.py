@@ -39,10 +39,10 @@ from repro.core.all_to_all import (
 from repro.core.combining import simulate_combining
 from repro.core.fib import broadcast_time, broadcast_time_postal, fib
 from repro.core.kitem.single_sending import single_sending_schedule
-from repro.core.single_item import optimal_broadcast_schedule, schedule_from_tree
-from repro.core.tree import optimal_tree
+from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams
 from repro.schedule.analysis import completion_time
+from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule, SendOp
 from repro.sim.machine import replay
 
@@ -93,10 +93,18 @@ class Communicator:
         self._check_root(root)
 
         def build() -> Plan:
-            tree = optimal_tree(self.params)
+            cols = optimal_broadcast_schedule(self.params).columns()
             P = self.params.P
-            mapping = {i: _rotate(i, root, P) for i in range(P)}
-            schedule = schedule_from_tree(tree, item=("bcast", root), proc_map=mapping)
+            item = ("bcast", root)
+            schedule = Schedule.from_arrays(
+                self.params,
+                cols.times,
+                (cols.srcs + root) % P,
+                (cols.dsts + root) % P,
+                item_table=ItemTable([item]),
+                initial={root: {item}},
+                source_items={item: 0},
+            )
             return Plan(
                 kind="bcast",
                 params=self.params,

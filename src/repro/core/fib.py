@@ -25,8 +25,10 @@ arithmetic (Python ints, no overflow).
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import count, islice
+from typing import Iterator
 
-from repro.params import LogPParams
+from repro.params import LogPParams, postal
 
 __all__ = [
     "fib_sequence",
@@ -34,6 +36,7 @@ __all__ = [
     "reachable_postal",
     "broadcast_time_postal",
     "node_census",
+    "broadcast_census",
     "reachable",
     "broadcast_time",
     "k_star",
@@ -87,17 +90,20 @@ def broadcast_time_postal(P: int, L: int) -> int:
     >>> broadcast_time_postal(1, 3)
     0
     """
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    seq = [1]
-    t = 0
-    while seq[t] < P:
-        t += 1
-        if t < L:
-            seq.append(1)
-        else:
-            seq.append(seq[t - 1] + (seq[t - L] if t - L >= 0 else 0))
-    return t
+    return broadcast_time(P, postal(P=1, L=L))
+
+
+def _census(params: LogPParams) -> Iterator[int]:
+    """Yield ``N(0), N(1), ...`` in O(1) each: ``N(d) = S(d - cost)`` for
+    ``d >= 1``, where ``S(x) = N(x) + S(x - g)`` is kept alongside."""
+    cost = params.send_cost
+    g = params.g
+    sums: list[int] = []
+    for d in count():
+        x = d - cost
+        n = 1 if d == 0 else (sums[x] if x >= 0 else 0)
+        sums.append(n + (sums[d - g] if d >= g else 0))
+        yield n
 
 
 def node_census(t: int, params: LogPParams) -> list[int]:
@@ -108,18 +114,7 @@ def node_census(t: int, params: LogPParams) -> list[int]:
     """
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    cost = params.send_cost
-    g = params.g
-    census = [0] * (t + 1)
-    census[0] = 1
-    for d in range(1, t + 1):
-        total = 0
-        s = d - cost
-        while s >= 0:
-            total += census[s]
-            s -= g
-        census[d] = total
-    return census
+    return list(islice(_census(params), t + 1))
 
 
 def reachable(t: int, params: LogPParams) -> int:
@@ -130,30 +125,25 @@ def reachable(t: int, params: LogPParams) -> int:
     return sum(node_census(t, params))
 
 
+def broadcast_census(P: int, params: LogPParams) -> list[int]:
+    """``[N(0), ..., N(B(P))]``: the census grown until ``P`` nodes fit."""
+    if P < 1:
+        raise ValueError(f"P must be >= 1, got {P}")
+    census: list[int] = []
+    counts = _census(params)
+    total = 0
+    while total < P:
+        census.append(next(counts))
+        total += census[-1]
+    return census
+
+
 def broadcast_time(P: int, params: LogPParams) -> int:
     """``B(P; L, o, g)``: minimum cycles for a ``P``-processor broadcast.
 
     Computed by growing the universal-tree census until ``P`` nodes fit.
     """
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    if P == 1:
-        return 0
-    cost = params.send_cost
-    g = params.g
-    census = [1]
-    total = 1
-    d = 0
-    while total < P:
-        d += 1
-        count = 0
-        s = d - cost
-        while s >= 0:
-            count += census[s]
-            s -= g
-        census.append(count)
-        total += count
-    return d
+    return len(broadcast_census(P, params)) - 1
 
 
 # Bounded since PR 7: the serve bench's full Zipf mix touches well under

@@ -1,7 +1,7 @@
 """Single-item broadcast (Section 2).
 
 Builds the optimal schedule of Theorem 2.1 from the universal broadcast
-tree: processor ``i`` is assigned to tree node ``i`` (the root / source is
+tree: processor ``i`` is assigned to tree rank ``i`` (the root / source is
 processor 0), and a node with delay ``d`` and children at delays
 ``d + j*g + L + 2o`` starts its ``j``-th send at cycle ``d + j*g``.
 
@@ -14,9 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fib import broadcast_time
-from repro.core.tree import BroadcastTree, optimal_tree
+from repro.core.tree import BroadcastTree
 from repro.params import LogPParams
 from repro.schedule.columnar import ItemTable
+from repro.schedule.implicit import OptimalTreeFamily
 from repro.schedule.ops import Schedule
 
 __all__ = [
@@ -90,8 +91,21 @@ def schedule_from_tree(
 
 
 def optimal_broadcast_schedule(params: LogPParams) -> Schedule:
-    """The optimal single-item broadcast schedule ``B(P)`` (Theorem 2.1)."""
-    return schedule_from_tree(optimal_tree(params))
+    """The optimal single-item broadcast schedule ``B(P)`` (Theorem 2.1).
+
+    :class:`~repro.schedule.implicit.OptimalTreeFamily`'s run table,
+    stored sender-major like :func:`schedule_from_tree`'s output.
+    """
+    delays, parents = OptimalTreeFamily(params).rank_table()
+    order = parents[1:].argsort(kind="stable") + 1
+    return Schedule.from_arrays(
+        params,
+        delays[order] - params.send_cost,
+        parents[order],
+        order,
+        initial={0: {0}},
+        source_items={0: 0},
+    )
 
 
 def optimal_broadcast_time(params: LogPParams) -> int:

@@ -78,20 +78,19 @@ def min_summation_time(n: int, params: LogPParams) -> int:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     best = n - 1  # single-processor chain
-    for P in range(2, params.P + 1):
-        sub = params.with_processors(P)
-        t = 0
-        # find the smallest feasible t for this P by linear scan from the
-        # first t at which every processor has a non-negative local budget
-        tree = summation_tree(sub)
-        t_min = max(
-            node.delay + (params.o + 1) * node.out_degree for node in tree.nodes
-        )
-        t = t_min
-        while summation_capacity(t, sub) < n:
-            t += 1
-            if t > best:
-                break
-        else:
-            best = min(best, t)
+    # node i's budget is t - c_i with c_i = d_i + (o+1) k_i; from the
+    # first t where every budget is non-negative (t >= max c_i) the
+    # capacity is sum_i (t - c_i + 1) = P (t + 1) - sum_i c_i.  The tree
+    # on P processors is the first P nodes of the full one (Defn 2.4),
+    # so one tree serves every P: adding node P-1 adds one child to its
+    # parent.
+    nodes = summation_tree(params).nodes
+    costs = [node.delay for node in nodes]
+    t_min = spent = 0
+    for P, node in enumerate(nodes[1:], start=2):
+        parent = node.parent or 0  # only the root has no parent
+        costs[parent] += params.o + 1
+        t_min = max(t_min, costs[parent], costs[P - 1])
+        spent += node.delay + params.o + 1
+        best = min(best, max(t_min, -(-(n + spent) // P) - 1))
     return best

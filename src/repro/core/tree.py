@@ -6,11 +6,12 @@ labeled ordered tree whose root has label 0 and in which a node with label
 of a node is the *delay* of the corresponding processor: the time at which
 it first holds the datum.
 
-``B(P)`` — built here by :func:`optimal_tree` — is the rooted subtree
-consisting of the ``P`` nodes with smallest labels (ties broken
-deterministically in favour of earlier-informed parents), and Theorem 2.1
+``B(P)`` — viewed here by :func:`optimal_tree` — is the rooted subtree
+consisting of the ``P`` nodes with smallest labels, and Theorem 2.1
 states it is an optimal single-item broadcast: all informed processors
-relay the datum as early and as often as possible.
+relay the datum as early and as often as possible.  Its labeling is
+owned by :class:`~repro.schedule.implicit.OptimalTreeFamily`: rank order
+is (delay, parent rank), so ``B(P)`` is a prefix of every larger ``B(P')``.
 
 :func:`tree_for_time` builds the *complete* subtree of all nodes with label
 at most ``t`` (``P(t)`` nodes), which is the unique optimal tree used by the
@@ -19,13 +20,13 @@ continuous-broadcast machinery of Section 3.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterator
 
 import networkx as nx
 
 from repro.params import LogPParams
+from repro.schedule.implicit import OptimalTreeFamily
 
 __all__ = ["TreeNode", "BroadcastTree", "optimal_tree", "tree_for_time"]
 
@@ -176,24 +177,14 @@ class BroadcastTree:
 def optimal_tree(params: LogPParams) -> BroadcastTree:
     """Build ``B(P)``: the optimal single-item broadcast tree (Thm 2.1).
 
-    Greedy construction: maintain a min-heap of candidate child labels; the
-    next processor is always attached at the smallest available label.  Ties
-    are broken in favour of the earliest-created parent, which makes the
-    construction deterministic (the paper breaks ties arbitrarily).
+    A node view of :class:`~repro.schedule.implicit.OptimalTreeFamily`'s
+    run table; each node's children are in ascending index order.
     """
-    P = params.P
-    cost = params.send_cost
-    g = params.g
-    nodes = [TreeNode(index=0, delay=0, parent=None)]
-    # heap entries: (candidate delay, parent index, child slot)
-    heap: list[tuple[int, int, int]] = [(cost, 0, 0)]
-    while len(nodes) < P:
-        delay, parent, slot = heapq.heappop(heap)
-        index = len(nodes)
-        nodes.append(TreeNode(index=index, delay=delay, parent=parent))
+    delays, parents = OptimalTreeFamily(params).rank_table()
+    nodes = list(map(TreeNode, range(params.P), delays.tolist(), parents.tolist()))
+    nodes[0].parent = None
+    for index, parent in enumerate(parents[1:].tolist(), start=1):
         nodes[parent].children.append(index)
-        heapq.heappush(heap, (delay + g, parent, slot + 1))
-        heapq.heappush(heap, (delay + cost, index, 0))
     return BroadcastTree(params, nodes)
 
 

@@ -34,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fib import broadcast_time
-from repro.core.single_item import schedule_from_tree
-from repro.core.tree import optimal_tree
+from repro.core.single_item import optimal_broadcast_schedule
 from repro.machine.model import HierarchicalMachine, MachineModel
 from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule
@@ -71,7 +70,7 @@ def hier_broadcast_schedule(machine: MachineModel, item: object = 0) -> Schedule
     nodes, cores = m.nodes, m.cores
 
     if nodes > 1:
-        inter = schedule_from_tree(optimal_tree(m.inter)).columns()
+        inter = optimal_broadcast_schedule(m.inter).columns()
         inter_times = inter.times
         inter_srcs = inter.srcs * cores
         inter_dsts = inter.dsts * cores
@@ -84,7 +83,7 @@ def hier_broadcast_schedule(machine: MachineModel, item: object = 0) -> Schedule
         avail = np.zeros(1, dtype=np.int64)
 
     if cores > 1:
-        tile = schedule_from_tree(optimal_tree(m.intra)).columns()
+        tile = optimal_broadcast_schedule(m.intra).columns()
         T = len(tile)
         offsets = np.arange(nodes, dtype=np.int64) * cores
         intra_times = np.repeat(avail, T) + np.tile(tile.times, nodes)

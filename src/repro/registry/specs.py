@@ -37,7 +37,7 @@ from repro.core.fib import (
     single_sending_lower_bound,
 )
 from repro.core.kitem.single_sending import single_sending_schedule
-from repro.core.single_item import optimal_tree, schedule_from_tree
+from repro.core.single_item import optimal_broadcast_schedule
 from repro.core.summation.capacity import min_summation_time, operand_distribution
 from repro.core.summation.schedule import summation_schedule
 from repro.params import LogPParams
@@ -70,10 +70,6 @@ def _require_processors(name: str, params: LogPParams, minimum: int) -> None:
 
 
 # -- single-item broadcast (Section 2, Theorem 2.1) ----------------------
-
-
-def _build_broadcast(params: LogPParams) -> Schedule:
-    return schedule_from_tree(optimal_tree(params))
 
 
 def _broadcast_lint_bound(q: BoundQuery) -> tuple[int, str] | None:
@@ -245,13 +241,6 @@ def _build_allreduce(params: LogPParams) -> Schedule:
     return simulate_combining(T, params.L).schedule
 
 
-# -- all-to-one reduction (time-reversed broadcast) ----------------------
-
-
-def _build_reduction(params: LogPParams) -> Schedule:
-    return reduction_schedule(params)
-
-
 # -- hierarchical two-level collectives (machine layer, DESIGN S38) ------
 
 
@@ -358,7 +347,7 @@ SPECS: tuple[CollectiveSpec, ...] = (
         summary="optimal single-item broadcast from the universal tree",
         paper="Section 2, Figure 1",
         theorem="Thm 2.1",
-        build=_build_broadcast,
+        build=optimal_broadcast_schedule,
         implicit_build=implicit_broadcast,
         check_machine=lambda p: _require_processors("broadcast", p, 1),
         lower_bound=lambda params: broadcast_time(params.P, params),
@@ -481,7 +470,7 @@ SPECS: tuple[CollectiveSpec, ...] = (
         summary="all-to-one reduction (time-reversed optimal broadcast)",
         paper="Section 4.2 / 5",
         theorem="Thm 2.1 (reversal)",
-        build=_build_reduction,
+        build=reduction_schedule,
         implicit_build=implicit_reduction,
         check_machine=lambda p: _require_processors("reduction", p, 1),
         lower_bound=lambda params: broadcast_time(params.P, params),

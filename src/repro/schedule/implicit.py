@@ -44,7 +44,7 @@ from typing import Hashable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.fib import broadcast_time, node_census
+from repro.core.fib import broadcast_census
 from repro.params import LogPParams
 from repro.schedule.columnar import ItemTable, ScheduleColumns
 from repro.schedule.ops import Schedule
@@ -213,17 +213,19 @@ class BinomialTreeFamily(TreeFamily):
 class OptimalTreeFamily(TreeFamily):
     """The paper's universal broadcast tree (Definition 2.3), rank-coded.
 
-    Ranks are assigned in inform-time order using the
-    :func:`~repro.core.fib.node_census` counts ``N(d)``: the ranks
-    informed exactly at delay ``d`` occupy one contiguous block, ordered
-    within it by (gap index ``j``, parent offset).  The ``N(d - cost -
-    j*g)`` ranks of gap ``j`` are the ``j``-th children of the ranks at
-    delay ``d - cost - j*g``, in the same order, so inside each
-    ``(d, j)`` run a rank's parent is the rank minus a constant.
+    The one owner of the tree's labeling (the broadcast builder and
+    :func:`~repro.core.tree.optimal_tree` read it too).  Ranks are
+    assigned in inform-time order using the census counts ``N(d)``: the
+    ranks informed exactly at delay ``d`` occupy one contiguous block,
+    ordered within it by parent rank, so each ``B(P)`` is a prefix of
+    the universal tree (Definition 2.4).  The block's ``(d, p)`` runs,
+    earliest parent delay ``p = d - cost - j*g`` first, hold the
+    ``j``-th children of the ``N(p)`` ranks at delay ``p`` in their
+    order, so inside a run a rank's parent is the rank minus a constant.
 
     The state is a run table built once from the O(B(P)) census: one
     row per non-empty run (start rank, delay, parent delay, parent
-    shift), O(B(P)^2/g) rows — 848 at P=1,000,123, L=6, o=2, g=4 — and
+    shift), O(B(P)^2/g) rows — 875 at P=1,000,123, L=6, o=2, g=4 — and
     never more than ``P`` (each run starts at a distinct rank).  Every
     query reads it: rank arrays by one ``searchsorted`` over the run
     starts, contiguous rank ranges (:meth:`edge_facts`) by ``np.repeat``
@@ -238,35 +240,37 @@ class OptimalTreeFamily(TreeFamily):
         super().__init__(params)
         cost = params.send_cost
         g = params.g
-        self._t = broadcast_time(self.P, params)
-        census = np.asarray(node_census(self._t, params), dtype=np.int64)
-        cum_excl = np.concatenate(([0], np.cumsum(census)))
+        census = np.array(broadcast_census(self.P, params), dtype=np.int64)
+        self._t = len(census) - 1
+        cum_excl = np.concatenate(([0], census.cumsum()))
         # one run per (parent delay p with N(p) > 0, gap j) with child
         # delay d = p + cost + j*g <= B(P): the N(p) ranks informed at p
-        # send their j-th children there.  Rank order is (d, j) order.
+        # send their j-th children there.  Generated in p order, so a
+        # stable sort by d puts the runs in rank order (d, p).
         senders = np.flatnonzero(census)
         gaps = np.maximum((self._t - cost - senders) // g + 1, 0)
-        parent_delay = np.repeat(senders, gaps)
-        j = np.arange(len(parent_delay), dtype=np.int64) - np.repeat(
-            np.cumsum(gaps) - gaps, gaps
-        )
+        parent_delay = senders.repeat(gaps)
+        j = np.arange(len(parent_delay), dtype=np.int64) - (
+            gaps.cumsum() - gaps
+        ).repeat(gaps)
         run_delay = parent_delay + cost + j * g
-        order = np.lexsort((j, run_delay))
+        order = run_delay.argsort(kind="stable")
         run_delay = run_delay[order]
         parent_delay = parent_delay[order]
         sizes = census[parent_delay]
-        ahead = np.cumsum(sizes) - sizes
-        block = np.searchsorted(run_delay, run_delay, side="left")
+        ahead = sizes.cumsum() - sizes
+        block = run_delay.searchsorted(run_delay)
         start = cum_excl[run_delay] + ahead - ahead[block]
-        # drop the truncated tail beyond rank P-1; the root is the run
-        # [0, 1) with no parent
-        keep = start < self.P
-        self._run_start = np.concatenate(([0], start[keep]))
-        self._run_delay = np.concatenate(([0], run_delay[keep]))
-        self._run_parent_delay = np.concatenate(([-1], parent_delay[keep]))
-        self._run_shift = np.concatenate(
-            ([0], (start - cum_excl[parent_delay])[keep])
-        )
+        # keep the n runs that start below rank P (starts rise in rank
+        # order); row 0 is the root's run [0, 1) with no parent
+        n = int(np.count_nonzero(start < self.P))
+        table = np.zeros((5, n + 1), dtype=np.int64)
+        table[:3, 1:] = start[:n], run_delay[:n], parent_delay[:n]
+        table[2, 0] = -1
+        table[3, 1:] = start[:n] - cum_excl[parent_delay[:n]]
+        table[4] = np.diff(table[0], append=self.P)
+        self._run_start, self._run_delay, self._run_parent_delay = table[:3]
+        self._run_shift, self._run_length = table[3:]
 
     @property
     def num_runs(self) -> int:
@@ -276,12 +280,9 @@ class OptimalTreeFamily(TreeFamily):
     def _runs(self, ranks: np.ndarray) -> np.ndarray:
         return np.searchsorted(self._run_start, ranks, side="right") - 1
 
-    def delays(self, ranks: np.ndarray) -> np.ndarray:
+    def inform_times(self, ranks: np.ndarray) -> np.ndarray:
         """Inform delay of each rank (== inform time; labels are cycles)."""
         return self._run_delay[self._runs(ranks)]
-
-    def inform_times(self, ranks: np.ndarray) -> np.ndarray:
-        return self.delays(ranks)
 
     def parents(self, ranks: np.ndarray) -> np.ndarray:
         return ranks - self._run_shift[self._runs(ranks)]
@@ -303,6 +304,14 @@ class OptimalTreeFamily(TreeFamily):
             np.repeat(self._run_delay[runs], lengths),
             ranks - np.repeat(self._run_shift[runs], lengths),
             np.repeat(self._run_parent_delay[runs], lengths),
+        )
+
+    def rank_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(delays, parents)`` of ranks ``0..P-1``; the root is its own parent."""
+        ranks = np.arange(self.P, dtype=np.int64)
+        return (
+            self._run_delay.repeat(self._run_length),
+            ranks - self._run_shift.repeat(self._run_length),
         )
 
     def children(self, rank: int) -> np.ndarray:

@@ -12,7 +12,9 @@ against: plain per-``SendOp`` loops written for clarity, not speed.
 * :mod:`tests.oracles.transform` — every schedule pass, one loop each;
 * :mod:`tests.oracles.builders` — per-send loop builders;
 * :mod:`tests.oracles.implicit` — the optimal tree's per-delay scan
-  (parents, delays, chunk edge facts).
+  (parents, delays, chunk edge facts);
+* :mod:`tests.oracles.tree` — the per-processor heap construction of
+  ``B(P)`` and the broadcast schedule expanded from it.
 
 Hypothesis twins compare oracle and kernel outputs (violation strings
 as a multiset, schedules as canonical JSON); the perf gates in

@@ -12,9 +12,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.all_to_all import interleaving_gap
-from repro.core.tree import BroadcastTree, optimal_tree
+from repro.core.tree import BroadcastTree
 from repro.params import LogPParams
 from repro.schedule.ops import Schedule
+from tests.oracles.tree import optimal_tree_heap
 
 
 def schedule_from_tree_objects(
@@ -44,7 +45,7 @@ def schedule_from_tree_objects(
 
 def optimal_broadcast_schedule_objects(params: LogPParams) -> Schedule:
     """Oracle for :func:`repro.core.single_item.optimal_broadcast_schedule`."""
-    return schedule_from_tree_objects(optimal_tree(params))
+    return schedule_from_tree_objects(optimal_tree_heap(params))
 
 
 def all_to_all_schedule_objects(

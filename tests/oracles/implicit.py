@@ -2,10 +2,11 @@
 
 The family answers every rank query from one run table (one row per
 ``(delay, gap)`` block of the universal tree).  These functions are the
-original formulas it replaced: locate each rank's delay by a
-``searchsorted`` over the census prefix sums, then, delay by delay,
-locate its parent's gap index ``j`` by a ``searchsorted`` over that
-delay's gap sums.  Slow (one mask per distinct delay) but written
+formulas it replaced, in its labeling (ranks at one delay ordered by
+parent rank): locate each rank's delay by a ``searchsorted`` over the
+census prefix sums, then, delay by delay, locate its parent's delay by
+a ``searchsorted`` over that delay's per-parent-delay sums, earliest
+parent delay first.  Slow (one mask per distinct delay) but written
 straight from Definition 2.3.
 """
 
@@ -42,13 +43,14 @@ def optimal_parents(params: LogPParams, ranks: np.ndarray) -> np.ndarray:
     out = np.empty(len(ranks), dtype=np.int64)
     for delay in np.unique(delays).tolist():
         group = delays == delay
-        # nodes at this delay, grouped by the parent's gap index j:
-        # gap j holds N(delay - cost - j*g) of them
-        gap_counts = census[delay - cost :: -g]
-        gap_sums = np.cumsum(gap_counts)
-        j = np.searchsorted(gap_sums, offsets[group], side="right")
-        before = np.where(j > 0, gap_sums[np.maximum(j - 1, 0)], 0)
-        parent_delay = delay - cost - j * g
+        # nodes at this delay, grouped by the parent's delay, earliest
+        # first: parent delays first, first + g, ..., delay - cost hold
+        # N(parent delay) of them each
+        first = (delay - cost) % g
+        gap_sums = np.cumsum(census[first : delay - cost + 1 : g])
+        k = np.searchsorted(gap_sums, offsets[group], side="right")
+        before = np.where(k > 0, gap_sums[np.maximum(k - 1, 0)], 0)
+        parent_delay = first + k * g
         out[group] = cum_excl[parent_delay] + offsets[group] - before
     return out
 

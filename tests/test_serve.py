@@ -102,6 +102,18 @@ class TestRequestKeys:
         assert stats["index_entries"] == 2
         assert stats["blobs"] == 1
 
+    def test_storage_twins_share_a_blob_beyond_tiny_P(self, tmp_path):
+        # the columnar builder and the implicit family read one labeling
+        # of the universal tree, so the twins converge at every P
+        service = PlanService(capacity=8, directory=tmp_path)
+        machine = {"P": 300, "L": 6, "o": 2, "g": 4}
+        columnar = canonical_request("broadcast", **machine)
+        implicit = canonical_request("broadcast", storage="implicit", **machine)
+        assert service.plan_json(columnar) == service.plan_json(implicit)
+        stats = service.stats()["disk"]
+        assert stats["index_entries"] == 2
+        assert stats["blobs"] == 1
+
     def test_usage_errors_are_one_line_valueerrors(self):
         with pytest.raises(ValueError, match="unknown collective"):
             canonical_request("nope", P=4, L=2)
