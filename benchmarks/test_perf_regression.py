@@ -288,6 +288,33 @@ def test_exec_lowers_and_runs_p256_broadcast_in_bounded_time():
     )
 
 
+def test_exec_p256_broadcast_without_rank_threads():
+    """One cooperative rank scheduler: no transport starts a thread per
+    rank, so executing the lowered P=256 broadcast (best of 5) stays
+    under 10 ms on inproc and under 25 ms on a warm two-worker mp pool
+    (measured ~2 and ~6 ms on a shared 2-vCPU x86-64 host, where
+    thread-per-rank execution took ~45 and ~55 ms)."""
+    from repro import registry
+    from repro.exec import MpTransport, execute, lower_schedule
+    from repro.params import LogPParams
+
+    plan = lower_schedule(
+        registry.plan("broadcast", LogPParams(P=256, L=4, o=1, g=2))
+    )
+    inproc_s, result = time_call(
+        lambda: execute(plan, transport="inproc"), repeat=5
+    )
+    assert result.num_delivered == 255
+    with MpTransport(workers=2) as transport:
+        execute(plan, transport=transport)  # fork the pool
+        mp_s, mp_result = time_call(
+            lambda: execute(plan, transport=transport), repeat=5
+        )
+    assert mp_result.trace.to_json() == result.trace.to_json()
+    assert inproc_s < 0.010, f"inproc P=256 broadcast took {inproc_s * 1e3:.1f} ms"
+    assert mp_s < 0.025, f"warm mp P=256 broadcast took {mp_s * 1e3:.1f} ms"
+
+
 def test_recorded_bench_exec_gate():
     """The committed BENCH_PR9.json must record the headline
     wall-clock-vs-makespan numbers for the P=256 broadcast on every

@@ -51,7 +51,7 @@ failure exits 1 with a one-line diagnostic.
 
 ``run`` leaves the simulator entirely: it lowers the schedule to
 per-rank programs (:mod:`repro.exec`) and executes them on a real
-transport — ``inproc`` threads (deterministic default), ``mp``
+transport — ``inproc`` in-process (deterministic default), ``mp``
 processes, or ``mpi`` when mpi4py is installed.  ``--verify`` replays
 the same schedule on the simulator and asserts the delivered
 (src, dst, item) multisets are byte-identical; divergence or a runtime
@@ -945,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--transport",
         choices=("inproc", "mp", "mpi"),
         default="inproc",
-        help="execution backend (default: inproc threads)",
+        help="execution backend (default: inproc, one thread)",
     )
     p.add_argument(
         "--verify",

@@ -380,7 +380,7 @@ class VirtualCluster:
 
     A thin front end over :mod:`repro.exec`: every collective lowers
     its plan's schedule to per-rank programs and runs them on a real
-    transport (``backend="inproc"`` by default — threads and queues,
+    transport (``backend="inproc"`` by default — one in-process scheduler,
     deterministic).  The backend is resolved once, at construction, so
     an unknown name fails there and an ``mp`` cluster reuses one worker
     pool across its collectives.  Data strictly follows the plan's

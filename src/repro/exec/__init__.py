@@ -5,7 +5,7 @@ model say it takes"; this package answers "does it actually run".  A
 :class:`~repro.schedule.ops.Schedule` is *lowered* to frozen per-rank
 :class:`~repro.exec.program.RankProgram`\\ s (ordered send/recv/reduce
 instructions with data dependencies instead of times), *executed* on a
-pluggable transport (``inproc`` threads, ``mp`` processes, ``mpi``
+pluggable transport (``inproc`` in-process, ``mp`` processes, ``mpi``
 when mpi4py is present), and *verified* by comparing the delivered
 ``(src, dst, item)`` multiset byte-for-byte against the simulator's
 realized schedule::

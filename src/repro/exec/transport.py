@@ -1,17 +1,19 @@
 """Transports: move envelopes between ranks, nothing more.
 
 Three implementations of the one-method-deep :class:`Transport`
-protocol:
+protocol, all driving ranks through one cooperative scheduler
+(:func:`repro.exec.engine.run_ranks`):
 
-* ``inproc`` — one thread + one queue per rank, always available,
-  deterministic results (payload folds happen in program order, so
-  thread scheduling cannot change any outcome).
+* ``inproc`` — every rank in one scheduler in the calling thread; no
+  threads, no queues, always available, deterministic results.
 * ``mp`` — real OS processes.  Ranks are multiplexed onto a small
-  worker pool (one inbound ``multiprocessing.Queue`` per worker, a
-  dispatcher thread routing to rank-local queues), so ``P`` can exceed
-  the core count by orders of magnitude.  The pool is forked on the
-  first run and lives as long as the transport instance: later runs
-  only ship each used worker one pickled job.
+  worker pool, one scheduler per worker, so ``P`` can exceed the core
+  count by orders of magnitude.  A send to a rank of the same worker is
+  delivered in memory; sends to other workers are batched, one
+  ``put`` per peer worker per scheduling round, on that worker's
+  inbound ``multiprocessing.Queue``.  The pool is forked on the first
+  run and lives as long as the transport instance: later runs only ship
+  each used worker one pickled job.
 * ``mpi`` — one program per MPI rank via mpi4py; constructing it
   without mpi4py raises :class:`TransportUnavailable` so callers and
   test suites skip cleanly.
@@ -29,15 +31,23 @@ import os
 import pickle
 import queue
 import signal
-import threading
 import time
 import traceback
 import weakref
-from typing import Any, Callable, Iterable, Mapping, NamedTuple, Protocol
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol
 
-from repro.exec.engine import Envelope, RankBlocked, RankOutcome, run_rank
+from repro.exec.engine import (
+    Outcome,
+    Program,
+    RankFailed,
+    RanksBlocked,
+    Routed,
+    Waiter,
+    program_lists,
+    run_ranks,
+)
 from repro.exec.errors import ExecError, ExecTimeout, TransportUnavailable
-from repro.exec.program import ExecPlan, RankProgram
+from repro.exec.program import ExecPlan
 from repro.sim.machine import format_blocked, format_rank_set
 
 __all__ = [
@@ -92,104 +102,72 @@ class Transport(Protocol):
 
 def _raise_blocked(
     plan: ExecPlan,
-    blocked: list[RankBlocked],
+    blocked: list[Waiter],
     transport: str,
     timeout: float,
-) -> None:
-    blocked = sorted(blocked, key=lambda b: b.rank)
-    first = blocked[0]
-    first_item = plan.table.decode(first.code)
+) -> NoReturn:
+    blocked = sorted(blocked)
+    rank, _instr, _total, src, code = blocked[0]
     waiters = [
         (
-            b.rank,
-            f"rank {b.rank} waits to receive item "
-            f"{plan.table.decode(b.code)!r} from rank {b.src} "
-            f"(instruction {b.instr + 1}/{b.total})",
+            rank,
+            f"rank {rank} waits to receive item "
+            f"{plan.table.decode(code)!r} from rank {src} "
+            f"(instruction {instr + 1}/{total})",
         )
-        for b in blocked
+        for rank, instr, total, src, code in blocked
     ]
     raise ExecTimeout(
         format_blocked(
             f"timeout: {transport} transport hit the {timeout:.1f}s "
-            f"deadline; earliest blocked receive: rank {first.rank} <- "
-            f"rank {first.src}, item {first_item!r}",
+            f"deadline; earliest blocked receive: rank {rank} <- "
+            f"rank {src}, item {plan.table.decode(code)!r}",
             waiters,
             total_ranks=plan.num_ranks,
         )
     )
 
 
-class _QueueEndpoint:
-    """Inproc endpoint: direct put into the destination rank's queue."""
-
-    __slots__ = ("_inboxes", "_inbox")
-
-    def __init__(
-        self, inboxes: dict[int, "queue.Queue[Envelope]"], rank: int
-    ) -> None:
-        self._inboxes = inboxes
-        self._inbox = inboxes[rank]
-
-    def send(self, dst: int, envelope: Envelope) -> None:
-        self._inboxes[dst].put(envelope)
-
-    def recv(self, timeout: float) -> Envelope | None:
-        try:
-            return self._inbox.get(timeout=timeout)
-        except queue.Empty:
-            return None
+def _transport_run(outcomes: Mapping[int, Outcome]) -> TransportRun:
+    return TransportRun(
+        delivered={r: delivered for r, (delivered, _) in outcomes.items()},
+        values={r: value for r, (_, value) in outcomes.items()},
+    )
 
 
-def _run_rank_group(
-    programs: Mapping[int, RankProgram],
-    endpoint_of: Callable[[int], Any],
-    *,
-    stores: dict[int, dict[int, Any]],
-    combine: Combine | None,
-    accumulators: dict[int, Any],
-    reduce_op: Combine | None,
-    deadline: float,
-) -> tuple[dict[int, RankOutcome], list[RankBlocked], dict[int, Exception]]:
-    """Run a set of rank programs on threads; collect the outcomes.
+def _run_group(programs: Mapping[int, Program], **kwargs: Any) -> tuple[str, Any]:
+    """:func:`run_ranks` as a picklable ``(status, payload)`` result."""
+    try:
+        return "ok", run_ranks(programs, **kwargs)
+    except RankFailed as exc:
+        return "error", str(exc)
+    except RanksBlocked as exc:
+        return "blocked", exc.waiters
 
-    Shared helper for the inproc transport (all ranks) and each mp
-    worker (its slice of ranks).  Dict writes are per-key from distinct
-    threads, so no locking is needed.
-    """
-    outcomes: dict[int, RankOutcome] = {}
-    blocked: list[RankBlocked] = []
-    failures: dict[int, Exception] = {}
 
-    def target(rank: int) -> None:
-        try:
-            outcomes[rank] = run_rank(
-                rank,
-                programs[rank],
-                endpoint_of(rank),
-                store=stores.get(rank, {}),
-                combine=combine,
-                accumulator=accumulators.get(rank),
-                reduce_op=reduce_op,
-                deadline=deadline,
-            )
-        except RankBlocked as exc:
-            blocked.append(exc)
-        except Exception as exc:  # pragma: no cover - defensive
-            failures[rank] = exc
-
-    threads = [
-        threading.Thread(target=target, args=(rank,), daemon=True)
-        for rank in sorted(programs)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=max(deadline - time.monotonic(), 0.0) + 2.0)
-    return outcomes, blocked, failures
+def _merge(
+    plan: ExecPlan, transport: str, timeout: float, results: list[tuple[str, Any]]
+) -> TransportRun:
+    """Every group's result merged: the first error, else every blocked
+    rank, else all outcomes."""
+    errors = [payload for status, payload in results if status == "error"]
+    if errors:
+        raise ExecError(f"{transport} transport: {errors[0]}")
+    blocked = [w for status, payload in results if status == "blocked" for w in payload]
+    if blocked:
+        _raise_blocked(plan, blocked, transport, timeout)
+    return _transport_run(
+        {r: out for _status, payload in results for r, out in payload.items()}
+    )
 
 
 class InprocTransport:
-    """Threads + queues in this process; the always-available default."""
+    """Every rank in one scheduler in the calling thread; the default.
+
+    No threads and no queues: a send is a mailbox append.  Nothing can
+    arrive from outside, so a deadlocked plan waits out the deadline
+    and raises the blocked-rank report then.
+    """
 
     name = "inproc"
 
@@ -203,30 +181,29 @@ class InprocTransport:
         reduce_op: Combine | None,
         timeout: float,
     ) -> TransportRun:
-        deadline = time.monotonic() + timeout
-        inboxes: dict[int, "queue.Queue[Envelope]"] = {
-            rank: queue.Queue() for rank in plan.programs
-        }
-        outcomes, blocked, failures = _run_rank_group(
-            plan.programs,
-            lambda rank: _QueueEndpoint(inboxes, rank),
-            stores=stores,
-            combine=combine,
-            accumulators=accumulators,
-            reduce_op=reduce_op,
-            deadline=deadline,
-        )
-        if failures:
-            rank = min(failures)
-            raise ExecError(
-                f"inproc transport: rank {rank} failed: {failures[rank]}"
-            ) from failures[rank]
-        if blocked:
-            _raise_blocked(plan, blocked, self.name, timeout)
-        return TransportRun(
-            delivered={r: o.delivered for r, o in outcomes.items()},
-            values={r: o.value for r, o in outcomes.items()},
-        )
+        try:
+            outcomes = run_ranks(
+                {r: program_lists(p) for r, p in plan.programs.items()},
+                stores=stores,
+                combine=combine,
+                accumulators=accumulators,
+                reduce_op=reduce_op,
+                deadline=time.monotonic() + timeout,
+            )
+        except RankFailed as exc:
+            raise ExecError(f"inproc transport: {exc}") from exc.__cause__
+        except RanksBlocked as exc:
+            _raise_blocked(plan, exc.waiters, self.name, timeout)
+        return _transport_run(outcomes)
+
+
+def _split(batch: list[Routed], place: Callable[[int], int]) -> dict[int, list[Routed]]:
+    """A round's outbound batch grouped by ``place(dst)``: one message
+    per peer worker (mp) or peer rank (mpi), in send order."""
+    parts: dict[int, list[Routed]] = {}
+    for routed in batch:
+        parts.setdefault(place(routed[0]), []).append(routed)
+    return parts
 
 
 def _mp_context() -> Any:
@@ -236,39 +213,11 @@ def _mp_context() -> Any:
     )
 
 
-class _MpEndpoint:
-    """mp endpoint: every send goes over the destination worker's
-    inbound process queue, tagged with the run id and destination rank."""
-
-    __slots__ = ("_run_id", "_inboxes", "_route", "_local")
-
-    def __init__(
-        self,
-        run_id: int,
-        inboxes: list[Any],
-        route: dict[int, int],
-        local: "queue.Queue[Envelope]",
-    ) -> None:
-        self._run_id = run_id
-        self._inboxes = inboxes
-        self._route = route
-        self._local = local
-
-    def send(self, dst: int, envelope: Envelope) -> None:
-        self._inboxes[self._route[dst]].put((self._run_id, dst, envelope))
-
-    def recv(self, timeout: float) -> Envelope | None:
-        try:
-            return self._local.get(timeout=timeout)
-        except queue.Empty:
-            return None
-
-
 class _Job(NamedTuple):
     """One worker's share of one run; the parent ships it pickled."""
 
     run_id: int
-    programs: dict[int, RankProgram]
+    programs: dict[int, Program]
     route: dict[int, int]  # rank -> index of the worker hosting it
     stores: dict[int, dict[int, Any]]
     accumulators: dict[int, Any]
@@ -287,93 +236,86 @@ def _mp_worker_main(
 ) -> None:
     """Entry point of one pooled mp worker: serve runs until stopped.
 
-    A dispatcher thread owns the worker's inbox.  A job (pickled bytes)
-    opens a run with fresh rank-local queues, fed first with any
-    envelopes of that run that overtook the job.  An envelope
-    ``(run_id, dst, envelope)`` of the open run goes to its rank's
-    queue, one of a later run waits for that run's job, and one of an
-    earlier run is stale and dropped.  The main thread runs each job's
-    ranks on threads and reports one ``(worker_id, status, payload)``
-    result.  ``combine``/``reduce_op`` were captured at fork; a job only
-    says whether its run uses them.
+    One thread reads the worker's inbox.  A job (pickled bytes) opens a
+    run; a batch ``(run_id, [(dst, envelope), ...])`` of a later run
+    waits for that run's job, and one of the last or an earlier run is
+    stale and dropped.  A job's ranks run in :func:`run_ranks`, whose
+    inbound side reads the same inbox, and the worker reports one
+    ``(worker_id, status, payload)`` result.  ``combine``/``reduce_op``
+    were captured at fork; a job only says whether its run uses them.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's
     parent = os.getppid()
     inbox = inboxes[worker_id]
-    opened: queue.Queue[tuple[_Job, dict[int, queue.Queue[Envelope]]]] = (
-        queue.Queue()
-    )
+    last_run = 0
+    held: dict[int, list[list[Routed]]] = {}
+    try:
+        while True:
+            try:
+                message = inbox.get(timeout=_ORPHAN_POLL_S)
+            except queue.Empty:
+                if os.getppid() != parent:
+                    os._exit(0)  # the parent died without closing the pool
+                continue
+            if type(message) is tuple:
+                run_id, batch = message
+                if run_id > last_run:
+                    held.setdefault(run_id, []).append(batch)
+                continue
+            job: _Job = pickle.loads(message)
+            last_run = job.run_id
+            if fault_ranks.intersection(job.programs):
+                os._exit(17)  # fault injection for the failure-path tests
+            early = held.pop(job.run_id, [])
+            status, payload = _serve(
+                job, inbox, inboxes, early, combine, reduce_op
+            )
+            results.put((worker_id, status, payload))
+    except Exception:
+        # an unreadable message or an unroutable send: die loudly, and
+        # the parent's liveness check reports this worker's ranks
+        traceback.print_exc()
+        os._exit(1)
 
-    def dispatch() -> None:
-        run_id = -1
-        local: dict[int, "queue.Queue[Envelope]"] = {}
-        early: dict[int, list[tuple[int, Envelope]]] = {}
-        try:
-            while True:
-                message = inbox.get()
-                if type(message) is tuple:
-                    rid, dst, envelope = message
-                    if rid == run_id:
-                        local[dst].put(envelope)
-                    elif rid > run_id:
-                        early.setdefault(rid, []).append((dst, envelope))
-                    continue
-                job: _Job = pickle.loads(message)
-                run_id = job.run_id
-                local = {rank: queue.Queue() for rank in job.programs}
-                for dst, envelope in early.pop(run_id, ()):
-                    local[dst].put(envelope)
-                opened.put((job, local))
-        except Exception:
-            # an unreadable message: die loudly, and the parent's
-            # liveness check reports this worker's ranks
-            traceback.print_exc()
-            os._exit(1)
 
-    threading.Thread(target=dispatch, daemon=True).start()
-    while True:
+def _serve(
+    job: _Job,
+    inbox: Any,
+    inboxes: list[Any],
+    early: list[list[Routed]],
+    combine: Combine | None,
+    reduce_op: Combine | None,
+) -> tuple[str, Any]:
+    """Run one job's ranks; ``early`` holds batches that overtook it."""
+    run_id, route = job.run_id, job.route
+
+    def ship(batch: list[Routed]) -> None:
+        for worker, part in _split(batch, route.__getitem__).items():
+            inboxes[worker].put((run_id, part))
+
+    def wait(timeout: float) -> list[Routed]:
+        if early:
+            overtaken = [routed for batch in early for routed in batch]
+            early.clear()
+            return overtaken
         try:
-            job, local = opened.get(timeout=_ORPHAN_POLL_S)
+            rid, batch = inbox.get(timeout=timeout)
         except queue.Empty:
-            if os.getppid() != parent:
-                os._exit(0)  # the parent died without closing the pool
-            continue
-        if fault_ranks.intersection(job.programs):
-            os._exit(17)  # fault injection for the failure-path tests
-        endpoints = {
-            rank: _MpEndpoint(job.run_id, inboxes, job.route, inbound)
-            for rank, inbound in local.items()
-        }
-        outcomes, blocked, failures = _run_rank_group(
-            job.programs,
-            endpoints.__getitem__,
-            stores=job.stores,
-            combine=combine if job.use_combine else None,
-            accumulators=job.accumulators,
-            reduce_op=reduce_op if job.use_reduce else None,
-            deadline=time.monotonic() + job.timeout,
-        )
-        if failures:
-            rank = min(failures)
-            results.put(
-                (worker_id, "error", f"rank {rank} failed: {failures[rank]}")
-            )
-        elif blocked:
-            results.put(
-                (
-                    worker_id,
-                    "blocked",
-                    [(b.rank, b.instr, b.total, b.src, b.code) for b in blocked],
-                )
-            )
-        else:
-            results.put(
-                (
-                    worker_id,
-                    "ok",
-                    {r: (o.delivered, o.value) for r, o in outcomes.items()},
-                )
-            )
+            return []
+        # the parent sends no job before every result of the open run is
+        # in, so a batch that is not this run's is a finished run's
+        return batch if rid == run_id else []
+
+    return _run_group(
+        job.programs,
+        stores=job.stores,
+        combine=combine if job.use_combine else None,
+        accumulators=job.accumulators,
+        reduce_op=reduce_op if job.use_reduce else None,
+        deadline=time.monotonic() + job.timeout,
+        ship=ship,
+        wait=wait,
+    )
 
 
 def _stop_pool(procs: list[Any], queues: list[Any]) -> None:
@@ -445,11 +387,14 @@ class MpTransport:
     ``workers`` sizes the pool (a positive int; default: core count,
     capped at 8).  The pool is forked on the first :meth:`run` and kept
     for later runs, in the master/worker shape of nengo_mpi: each run
-    ships one pickled job per used worker (its rank programs, stores
-    and accumulators) and the first ``min(workers, ranks)`` workers
-    host rank groups.  ``combine``/``reduce_op`` are captured at fork,
-    so lambdas need no pickling; a run whose callables differ from the
-    captured ones re-forks the pool.  Any failed run (rank error,
+    ships one pickled job per used worker (its rank programs as plain
+    lists, stores and accumulators) and the first ``min(workers, ranks)``
+    workers host rank groups.  Each worker runs its group in one
+    cooperative scheduler, delivers same-worker sends in memory and
+    ships one batch per peer worker per scheduling round.
+    ``combine``/``reduce_op`` are captured at fork, so lambdas need no
+    pickling; a run whose callables differ from the captured ones
+    re-forks the pool.  Any failed run (rank error,
     blocked ranks, dead or unresponsive worker) tears the pool down and
     the next run forks a fresh one.  :meth:`close` (or leaving a
     ``with`` block, or dropping the transport) stops the workers.
@@ -511,7 +456,7 @@ class MpTransport:
             pickle.dumps(
                 _Job(
                     self._run_id,
-                    {r: plan.programs[r] for r in group},
+                    {r: program_lists(plan.programs[r]) for r in group},
                     route,
                     {r: stores[r] for r in group if r in stores},
                     {r: accumulators[r] for r in group if r in accumulators},
@@ -533,27 +478,10 @@ class MpTransport:
             for inbox, job in zip(pool.inboxes, jobs):
                 inbox.put(job)
             results = self._collect(pool, groups, timeout)
-            errors = [p for s, p in results if s == "error"]
-            if errors:
-                raise ExecError(f"mp transport: {errors[0]}")
-            blocked = [
-                RankBlocked(*info)
-                for status, payload in results
-                if status == "blocked"
-                for info in payload
-            ]
-            if blocked:
-                _raise_blocked(plan, blocked, self.name, timeout)
+            return _merge(plan, self.name, timeout, results)
         except BaseException:
             self.close()
             raise
-        delivered: dict[int, list[tuple[int, int]]] = {}
-        values: dict[int, Any] = {}
-        for _status, payload in results:
-            for rank, (dlv, value) in payload.items():
-                delivered[rank] = dlv
-                values[rank] = value
-        return TransportRun(delivered=delivered, values=values)
 
     @staticmethod
     def _collect(
@@ -630,71 +558,36 @@ class MpiTransport:
                 f"mpiexec -n {needed}"
             )
         rank = comm.Get_rank()
-        deadline = time.monotonic() + timeout
-        outcome: tuple[str, Any]
+
+        def ship(batch: list[Routed]) -> None:
+            for dst, part in _split(batch, lambda dst: dst).items():
+                comm.send(part, dest=dst, tag=0)
+
+        def wait(seconds: float) -> list[Routed]:
+            deadline = time.monotonic() + seconds
+            while not comm.iprobe(source=mpi.ANY_SOURCE, tag=0):
+                if time.monotonic() >= deadline:
+                    return []
+                time.sleep(0.002)
+            batch: list[Routed] = comm.recv(source=mpi.ANY_SOURCE, tag=0)
+            return batch
+
+        outcome: tuple[str, Any] = ("ok", {})
         if rank in plan.programs:
-            endpoint = _MpiEndpoint(comm, mpi)
-            try:
-                result = run_rank(
-                    rank,
-                    plan.program(rank),
-                    endpoint,
-                    store=stores.get(rank, {}),
-                    combine=combine,
-                    accumulator=accumulators.get(rank),
-                    reduce_op=reduce_op,
-                    deadline=deadline,
-                )
-                outcome = ("ok", (result.delivered, result.value))
-            except RankBlocked as exc:
-                outcome = (
-                    "blocked",
-                    (exc.rank, exc.instr, exc.total, exc.src, exc.code),
-                )
-        else:
-            outcome = ("idle", None)
-        gathered = comm.gather((rank, outcome), root=0)
+            outcome = _run_group(
+                {rank: program_lists(plan.program(rank))},
+                stores=stores,
+                combine=combine,
+                accumulators=accumulators,
+                reduce_op=reduce_op,
+                deadline=time.monotonic() + timeout,
+                ship=ship,
+                wait=wait,
+            )
+        gathered = comm.gather(outcome, root=0)
         if rank != 0:
             return TransportRun(delivered={}, values={})
-        blocked = [
-            RankBlocked(*payload)
-            for _, (status, payload) in gathered
-            if status == "blocked"
-        ]
-        if blocked:
-            _raise_blocked(plan, blocked, self.name, timeout)
-        delivered = {
-            r: payload[0]
-            for r, (status, payload) in gathered
-            if status == "ok"
-        }
-        values = {
-            r: payload[1]
-            for r, (status, payload) in gathered
-            if status == "ok"
-        }
-        return TransportRun(delivered=delivered, values=values)
-
-
-class _MpiEndpoint:
-    """mpi4py endpoint: tagged point-to-point with polling receive."""
-
-    __slots__ = ("_comm", "_mpi")
-
-    def __init__(self, comm: Any, mpi: Any) -> None:
-        self._comm = comm
-        self._mpi = mpi
-
-    def send(self, dst: int, envelope: Envelope) -> None:
-        self._comm.send(envelope, dest=dst, tag=0)
-
-    def recv(self, timeout: float) -> Envelope | None:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self._comm.iprobe(source=self._mpi.ANY_SOURCE, tag=0):
-                return self._comm.recv(source=self._mpi.ANY_SOURCE, tag=0)
-            time.sleep(0.002)
-        return None
+        return _merge(plan, self.name, timeout, gathered)
 
 
 _TRANSPORTS: dict[str, type] = {

@@ -2,7 +2,7 @@
 
 The contract under test is the PR-9 acceptance bar: for every registry
 collective the lowered per-rank programs, executed on *real* transports
-(inproc threads, mp processes), must deliver exactly the simulator's
+(inproc in-process, mp processes), must deliver exactly the simulator's
 ``(src, dst, item)`` multiset — byte-for-byte on the canonical trace
 encoding — and failures (unknown transports, dead workers, hangs) must
 surface as one-line diagnostics naming the offending ranks instead of
@@ -10,6 +10,7 @@ hanging the caller.
 """
 
 import multiprocessing
+import threading
 
 import numpy as np
 import pytest
@@ -343,13 +344,41 @@ class TestMpPool:
             execute(registry.plan("broadcast", P=2, L=2, o=0, g=1), transport=transport)
             inbox = transport._pool.inboxes[0]
             # an envelope of the next run that overtakes its job waits for it
-            inbox.put((transport._run_id + 1, 0, envelope))
+            inbox.put((transport._run_id + 1, [(0, envelope)]))
             result = execute(plan, transport=transport, timeout=5.0)
             assert result.values[0] == {"never": "sent by hand"}
             # an envelope of a finished run never reaches a later one
-            inbox.put((transport._run_id, 0, envelope))
+            inbox.put((transport._run_id, [(0, envelope)]))
             with pytest.raises(ExecTimeout, match="1 of 2 ranks blocked"):
                 execute(plan, transport=transport, timeout=0.4)
+
+    def test_one_batch_for_two_ranks_overtakes_its_job(self):
+        # white-box: one batch feeds both ranks of the one worker the
+        # items they wait for, before that run's job arrives
+        plan = _never_received_plan(waiting=(0, 1))
+        code = plan.encode("never")
+        batch = [(1, (2, code, "to rank 1")), (0, (2, code, "to rank 0"))]
+        with MpTransport(workers=1) as transport:
+            execute(registry.plan("broadcast", P=2, L=2, o=0, g=1), transport=transport)
+            transport._pool.inboxes[0].put((transport._run_id + 1, batch))
+            result = execute(plan, transport=transport, timeout=5.0)
+        assert result.values == {0: {"never": "to rank 0"}, 1: {"never": "to rank 1"}}
+        assert result.trace.delivered == ((2, 0, "never"), (2, 1, "never"))
+
+    def test_stale_batch_during_a_run_is_dropped(self):
+        # white-box: a finished run's batch lands while rank 0 waits
+        plan = _never_received_plan()
+        envelope = (1, plan.encode("never"), "stale")
+        with MpTransport(workers=1) as transport:
+            execute(registry.plan("broadcast", P=2, L=2, o=0, g=1), transport=transport)
+            stale = (transport._run_id, [(0, envelope)])
+            inbox = transport._pool.inboxes[0]
+            timer = threading.Timer(0.2, inbox.put, args=(stale,))
+            timer.start()
+            with pytest.raises(ExecTimeout, match="1 of 2 ranks blocked"):
+                execute(plan, transport=transport, timeout=0.6)
+            timer.join(timeout=5.0)
+            assert not timer.is_alive()
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     def test_rejects_bad_worker_counts(self, workers):
@@ -359,25 +388,30 @@ class TestMpPool:
             MpTransport(workers=workers)
 
 
-def _never_received_plan() -> ExecPlan:
-    """Rank 0 waits forever for a message rank 1 never sends: a
-    hand-built plan (lowering would reject the schedule)."""
-    params = LogPParams(P=2, L=2, o=0, g=1)
+def _never_received_plan(waiting: tuple[int, ...] = (0,)) -> ExecPlan:
+    """The ``waiting`` ranks wait forever for a message the last rank
+    never sends: a hand-built plan (lowering would reject the
+    schedule)."""
+    sender = max(waiting) + 1
+    params = LogPParams(P=sender + 1, L=2, o=0, g=1)
     table = ItemTable()
     code = table.intern("never")
-    program = RankProgram(
-        rank=0,
-        kinds=np.array([KIND_RECV], dtype=np.int8),
-        peers=np.array([1], dtype=np.int64),
-        items=np.array([code], dtype=np.int64),
-        deps=np.array([-1], dtype=np.int64),
-        reduce_operands={},
-        table=table,
-    )
+    programs = {
+        rank: RankProgram(
+            rank=rank,
+            kinds=np.array([KIND_RECV], dtype=np.int8),
+            peers=np.array([sender], dtype=np.int64),
+            items=np.array([code], dtype=np.int64),
+            deps=np.array([-1], dtype=np.int64),
+            reduce_operands={},
+            table=table,
+        )
+        for rank in waiting
+    }
     return ExecPlan(
         params=params,
         table=table,
-        programs={0: program},
+        programs=programs,
         initial={},
         num_sends=0,
     )
