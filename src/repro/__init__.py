@@ -87,8 +87,7 @@ from repro.params import LogPParams, postal
 from repro.passes import PassManager, SchedulePass, pass_names, run_pipeline
 from repro.registry import CollectiveSpec, get_spec, plan
 from repro.schedule.ops import ComputeOp, Schedule, SendOp
-from repro.sim.machine import Machine, replay
-from repro.sim.validate import assert_valid, violations
+from repro.sim.validate import assert_valid, replay, violations
 
 __version__ = "1.0.0"
 
@@ -112,7 +111,6 @@ __all__ = [
     "Schedule",
     "SendOp",
     "ComputeOp",
-    "Machine",
     "replay",
     "assert_valid",
     "violations",

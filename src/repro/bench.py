@@ -3,10 +3,11 @@
 Times the three phases of the pipeline — *build* a schedule (resolved
 through :func:`repro.registry.plan`), *validate* it (the vectorized
 legality kernel, consuming the schedule's cached columns), and
-*simulate* it on the event-driven :class:`~repro.sim.machine.Machine` —
-at processor counts well beyond the paper's figures (``P`` in {256,
-1024, 4096}) and on the quadratic-message workloads (all-to-all, k-item
-all-to-all) that motivated the columnar engine.  The k-item all-to-all
+*execute* the built plan on the ``inproc`` transport (the cooperative
+rank scheduler of :mod:`repro.exec`) — at processor counts well beyond
+the paper's figures (``P`` in {256, 1024, 4096}) and on the
+quadratic-message workloads (all-to-all, k-item all-to-all) that
+motivated the columnar engine.  The k-item all-to-all
 workload is a bench-only stressor with no registered collective, so it
 calls its builder directly.
 
@@ -50,7 +51,6 @@ from repro import registry
 from repro.core.all_to_all import k_item_all_to_all_schedule
 from repro.params import LogPParams, postal
 from repro.schedule.ops import Schedule
-from repro.sim.machine import Context, Machine
 from repro.sim.validate_np import violations_np
 
 __all__ = [
@@ -105,34 +105,23 @@ def time_call(fn: Callable[[], Any], repeat: int = 1) -> tuple[float, Any]:
     return best, result
 
 
-class _ChainRelay:
-    """Forward the broadcast item one hop down the line (P-1 sends total)."""
-
-    def on_start(self, ctx: Context) -> None:
-        if ctx.proc == 0 and ctx.has(0):
-            ctx.send(1, 0)
-
-    def on_receive(self, ctx: Context, item, src) -> None:
-        if ctx.proc + 1 < ctx.params.P:
-            ctx.send(ctx.proc + 1, item)
-
-
-class _AllToAll:
-    """Each processor offers its own item to everyone else, cyclically."""
-
-    def on_start(self, ctx: Context) -> None:
-        P = ctx.params.P
-        for d in range(1, P):
-            ctx.send((ctx.proc + d) % P, ("a2a", ctx.proc))
-
-    def on_receive(self, ctx: Context, item, src) -> None:
-        pass
-
-
 def _validate_timings(schedule: Schedule, repeat: int) -> dict[str, Any]:
     np_s, np_result = time_call(lambda: violations_np(schedule), repeat)
     assert np_result == [], "benchmark schedule must be legal"
     return {"validate_np_s": np_s}
+
+
+def _execute_timings(schedule: Schedule, repeat: int) -> dict[str, Any]:
+    """Lower and run the built plan on the ``inproc`` transport."""
+    from repro.exec import execute
+
+    execute_s, result = time_call(
+        lambda: execute(schedule, transport="inproc"), repeat
+    )
+    return {
+        "execute_inproc_s": execute_s,
+        "execute_delivered": result.num_delivered,
+    }
 
 
 def _build_timings(
@@ -159,39 +148,29 @@ def _build_timings(
 def bench_broadcast(
     P: int, L: int = 4, o: int = 1, g: int = 2, repeat: int = 1
 ) -> dict[str, Any]:
-    """Build/validate/simulate an optimal single-item broadcast at ``P``."""
+    """Build/validate/execute an optimal single-item broadcast at ``P``."""
     params = LogPParams(P=P, L=L, o=o, g=g)
     build_row, schedule = _build_timings(
         lambda: registry.plan("broadcast", params), repeat
     )
-    row: dict[str, Any] = {
+    return {
         "workload": "broadcast",
         "P": P,
         "params": [params.P, params.L, params.o, params.g],
         "sends": schedule.num_sends,
         **build_row,
         "validate_s": time_call(lambda: violations_np(schedule), repeat)[0],
+        **_execute_timings(schedule, repeat),
     }
-
-    def simulate() -> Schedule:
-        machine = Machine(
-            params, {p: _ChainRelay() for p in range(P)}, max_cycles=10**9
-        )
-        return machine.run()
-
-    sim_s, realized = time_call(simulate, repeat)
-    row["simulate_machine_s"] = sim_s
-    row["simulate_sends"] = len(realized.sends)
-    return row
 
 
 def bench_all_to_all(
     P: int,
     L: int = 4,
     repeat: int = 1,
-    simulate_limit: int = 70_000,
+    execute_limit: int = 70_000,
 ) -> dict[str, Any]:
-    """Build/validate/simulate the P-way all-to-all broadcast (P(P-1) sends)."""
+    """Build/validate/execute the P-way all-to-all broadcast (P(P-1) sends)."""
     params = postal(P=P, L=L)
     build_row, schedule = _build_timings(
         lambda: registry.plan("all-to-all", params), repeat
@@ -204,20 +183,8 @@ def bench_all_to_all(
         **build_row,
     }
     row.update(_validate_timings(schedule, repeat))
-    if schedule.num_sends <= simulate_limit:
-
-        def simulate() -> Schedule:
-            machine = Machine(
-                params,
-                {p: _AllToAll() for p in range(P)},
-                initial={p: {("a2a", p)} for p in range(P)},
-                max_cycles=10**9,
-            )
-            return machine.run()
-
-        sim_s, realized = time_call(simulate, repeat)
-        row["simulate_machine_s"] = sim_s
-        row["simulate_sends"] = len(realized.sends)
+    if schedule.num_sends <= execute_limit:
+        row.update(_execute_timings(schedule, repeat))
     return row
 
 
@@ -624,7 +591,7 @@ def run_bench(
         if verbose:
             keys = [
                 k for k in ("build_s", "validate_s",
-                            "validate_np_s", "simulate_machine_s",
+                            "validate_np_s", "execute_inproc_s",
                             "transform_np_s", "verify_each_s", "lint_s",
                             "cold_plans_per_s", "hot_plans_per_s",
                             "hot_hit_rate", "hot_speedup",

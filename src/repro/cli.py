@@ -79,7 +79,7 @@ from repro.core.summation.schedule import summation_schedule, verify_summation
 from repro.core.tree import optimal_tree
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import broadcast_delay_per_proc, item_completion_times
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.viz.ascii import render_schedule_activity, render_tree
 from repro.viz.tables import reception_table, render_reception_table
 
@@ -707,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweeps", help="run the theorem-validation sweeps")
     p.set_defaults(func=cmd_sweeps)
 
-    p = sub.add_parser("bench", help="time build/validate/simulate at scale")
+    p = sub.add_parser("bench", help="time build/validate/execute at scale")
     p.add_argument("--out", default="BENCH.json", help="output JSON path")
     p.add_argument("--repeat", type=int, default=1, help="best-of repetitions")
     p.add_argument("--quick", action="store_true", help="small sizes (smoke test)")

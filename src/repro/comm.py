@@ -44,7 +44,7 @@ from repro.params import LogPParams
 from repro.schedule.analysis import completion_time
 from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule, SendOp
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 if TYPE_CHECKING:
     from repro.exec.run import ExecResult
@@ -361,7 +361,7 @@ def embed_plan(
     re-validated.
     """
     from repro.schedule.transform import remap
-    from repro.sim.machine import replay as _replay
+    from repro.sim.validate import replay as _replay
 
     lifted = remap(plan.schedule, mapping)
     if params is not None:

@@ -6,7 +6,7 @@ processor 0), and a node with delay ``d`` and children at delays
 ``d + j*g + L + 2o`` starts its ``j``-th send at cycle ``d + j*g``.
 
 The schedule's running time equals ``B(P; L, o, g)`` by construction, and
-:func:`repro.sim.machine.replay` verifies it is a legal LogP execution.
+:func:`repro.sim.validate.replay` verifies it is a legal LogP execution.
 """
 
 from __future__ import annotations

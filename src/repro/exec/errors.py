@@ -32,9 +32,9 @@ class TransportUnavailable(ExecError):
 class ExecTimeout(ExecError):
     """The execution deadline expired with ranks still blocked.
 
-    The message reuses the simulator's blocked-rank formatting
-    (:func:`repro.sim.machine.format_blocked`): the blocked rank set,
-    the earliest blocked instruction, and per-rank detail lines.
+    The message (:func:`repro.exec.transport.format_blocked`) names the
+    blocked rank set, the earliest blocked instruction, and per-rank
+    detail lines.
     """
 
 

@@ -20,8 +20,8 @@ protocol, all driving ranks through one cooperative scheduler
 
 Rank semantics (instruction walk, matched receives, folds) live in
 :mod:`repro.exec.engine`; a hung execution surfaces as one
-:class:`ExecTimeout` whose message reuses the simulator's blocked-rank
-formatting (:func:`repro.sim.machine.format_blocked`).
+:class:`ExecTimeout` whose message names the blocked rank set
+(:func:`format_blocked`).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from repro.exec.engine import (
 )
 from repro.exec.errors import ExecError, ExecTimeout, TransportUnavailable
 from repro.exec.program import ExecPlan
-from repro.sim.machine import format_blocked, format_rank_set
 
 __all__ = [
     "Transport",
@@ -58,6 +57,8 @@ __all__ = [
     "MpiTransport",
     "get_transport",
     "available_transports",
+    "format_rank_set",
+    "format_blocked",
 ]
 
 # extra wall-clock slack the parent allows workers beyond the rank
@@ -65,6 +66,9 @@ __all__ = [
 _GRACE_S = 10.0
 # how often an idle mp worker checks that its parent is still alive
 _ORPHAN_POLL_S = 1.0
+# detail lines shown per blocked rank before truncating; the summary
+# line always covers the full set
+_MAX_BLOCKED_LINES = 8
 
 Combine = Callable[[Any, Any], Any]
 
@@ -98,6 +102,45 @@ class Transport(Protocol):
         reduce_op: Combine | None,
         timeout: float,
     ) -> TransportRun: ...
+
+
+def format_rank_set(ranks: list[int]) -> str:
+    """Collapse a sorted rank list into run notation: ``0-3,7,9-10``."""
+    runs: list[str] = []
+    i = 0
+    while i < len(ranks):
+        j = i
+        while j + 1 < len(ranks) and ranks[j + 1] == ranks[j] + 1:
+            j += 1
+        runs.append(str(ranks[i]) if i == j else f"{ranks[i]}-{ranks[j]}")
+        i = j + 1
+    return ",".join(runs)
+
+
+def format_blocked(
+    headline: str,
+    waiters: list[tuple[int, str]],
+    *,
+    total_ranks: int,
+) -> str:
+    """Diagnostic body for a hung execution: ``headline`` plus a
+    blocked-rank summary (set collapsed to run notation, usable at large
+    ``P``) and per-rank detail lines, truncated after
+    ``_MAX_BLOCKED_LINES``.
+
+    ``waiters`` is ``(rank, one-line description)`` in the order the
+    details should print; the first entry is the "earliest" one the
+    headline typically names.
+    """
+    ranks = sorted({rank for rank, _ in waiters})
+    lines = [detail for _, detail in waiters[:_MAX_BLOCKED_LINES]]
+    hidden = len(waiters) - len(lines)
+    if hidden > 0:
+        lines.append(f"... and {hidden} more blocked rank(s)")
+    return (
+        f"{headline}: {len(ranks)} of {total_ranks} ranks blocked "
+        f"(ranks {format_rank_set(ranks)})\n  " + "\n  ".join(lines)
+    )
 
 
 def _raise_blocked(

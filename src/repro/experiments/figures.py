@@ -31,7 +31,7 @@ from repro.core.summation.schedule import summation_schedule, verify_summation
 from repro.core.tree import optimal_tree, tree_for_time
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import item_completion_times, item_delays
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.viz.ascii import render_schedule_activity, render_tree
 from repro.viz.digraph import render_digraph
 from repro.viz.tables import (

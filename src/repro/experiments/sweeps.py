@@ -36,7 +36,7 @@ from repro.schedule.analysis import (
     completion_time,
     item_completion_times,
 )
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 __all__ = [
     "broadcast_vs_baselines",

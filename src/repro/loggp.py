@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from repro.core.kitem.single_sending import completion, single_sending_schedule
 from repro.params import LogPParams
 from repro.schedule.ops import Schedule
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 __all__ = ["LogGPParams", "SegmentedPlan", "plan_broadcast", "segment_sweep"]
 

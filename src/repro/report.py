@@ -22,7 +22,7 @@ from repro.core.summation.capacity import min_summation_time, summation_capacity
 from repro.core.tree import optimal_tree
 from repro.params import LogPParams
 from repro.schedule.analysis import broadcast_delay_per_proc
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.viz.ascii import render_tree
 
 __all__ = ["machine_report"]

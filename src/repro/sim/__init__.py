@@ -1,16 +1,16 @@
-"""LogP machine simulator, validators and execution traces."""
+"""LogP validators and execution traces."""
 
-from repro.sim.machine import Context, Machine, Program, replay
 from repro.sim.trace import Activity, Trace, trace_from_schedule
 from repro.sim.validate import (
     assert_valid,
     is_single_sending,
+    replay,
     single_reception_violations,
     violations,
 )
 
 __all__ = [
-    "Machine", "Program", "Context", "replay",
+    "replay",
     "Trace", "Activity", "trace_from_schedule",
     "violations", "assert_valid",
     "single_reception_violations", "is_single_sending",

@@ -11,8 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable
 
+import numpy as np
+
+from repro.machine.model import FlatMachine
 from repro.params import LogPParams
-from repro.schedule.ops import ComputeOp, Schedule, SendOp
+from repro.schedule.columnar import sort_order
+from repro.schedule.ops import Schedule
 
 __all__ = ["Activity", "Trace", "trace_from_schedule"]
 
@@ -68,34 +72,41 @@ class Trace:
 def trace_from_schedule(schedule: Schedule) -> Trace:
     """Expand a schedule into explicit per-processor busy intervals.
 
-    Send overhead occupies the sender for ``o`` cycles from the send start;
-    receive overhead occupies the receiver for ``o`` cycles starting ``L``
-    after the send overhead completes.  In the postal model (``o = 0``) the
-    intervals are rendered with unit width so timelines stay legible.
+    Each send is priced by its edge's level on the schedule's machine
+    (``o_e`` is that level's overhead), exactly as the legality kernel
+    prices it: send overhead occupies the sender over ``[t, t + o_e)``
+    and receive overhead occupies the receiver from ``arrival - o_e``,
+    where ``arrival`` is the per-edge ``cols.arrivals``.  In the postal
+    model (``o_e = 0``) the intervals are rendered with unit width so
+    timelines stay legible.
     """
     params = schedule.params
-    width = max(params.o, 1)
+    machine = schedule.machine or FlatMachine(params)
+    cols = schedule.columns()
+    level_o = np.array([p.o for p in machine.levels], dtype=np.int64)
+    overheads = level_o[machine.edge_levels_np(cols.srcs, cols.dsts)]
+    order = sort_order(cols)
+    items = cols.table.items
     trace = Trace(params=params)
-    for op in schedule.sorted_sends():
+    for t, src, dst, code, arrival, o_e in zip(
+        cols.times[order].tolist(),
+        cols.srcs[order].tolist(),
+        cols.dsts[order].tolist(),
+        cols.items[order].tolist(),
+        cols.arrivals[order].tolist(),
+        overheads[order].tolist(),
+    ):
+        item = items[code]
+        width = max(o_e, 1)
         trace.add(
             Activity(
-                start=op.time,
-                end=op.time + width,
-                kind="send",
-                proc=op.src,
-                item=op.item,
-                peer=op.dst,
+                start=t, end=t + width, kind="send", proc=src, item=item, peer=dst
             )
         )
-        rs = op.receive_start(params)
+        rs = arrival - o_e
         trace.add(
             Activity(
-                start=rs,
-                end=rs + width,
-                kind="recv",
-                proc=op.dst,
-                item=op.item,
-                peer=op.src,
+                start=rs, end=rs + width, kind="recv", proc=dst, item=item, peer=src
             )
         )
     for cop in sorted(schedule.computes):

@@ -23,7 +23,10 @@ Section 3.4).
 
 The checks run in one vectorized kernel,
 :func:`repro.sim.validate_np.violations_np`, for every machine model
-(flat, hierarchical, fault-masked).
+(flat, hierarchical, fault-masked).  :func:`replay` is the oracle
+every constructive algorithm in the library is checked against: it
+validates a schedule and returns its per-processor activity
+:class:`~repro.sim.trace.Trace`.
 """
 
 from __future__ import annotations
@@ -31,11 +34,13 @@ from __future__ import annotations
 from typing import Hashable
 
 from repro.schedule.ops import Schedule
+from repro.sim.trace import Trace, trace_from_schedule
 from repro.sim.validate_np import violations_np
 
 __all__ = [
     "violations",
     "assert_valid",
+    "replay",
     "single_reception_violations",
     "is_single_sending",
 ]
@@ -55,6 +60,16 @@ def assert_valid(schedule: Schedule, check_capacity: bool = True) -> None:
         preview = "\n  ".join(problems[:10])
         more = f"\n  ... and {len(problems) - 10} more" if len(problems) > 10 else ""
         raise ValueError(f"illegal LogP schedule:\n  {preview}{more}")
+
+
+def replay(schedule: Schedule, check_capacity: bool = True) -> Trace:
+    """Validate ``schedule`` against the LogP model and return its trace.
+
+    Raises ``ValueError`` (with every violation listed) if the schedule is
+    not a legal execution.
+    """
+    assert_valid(schedule, check_capacity=check_capacity)
+    return trace_from_schedule(schedule)
 
 
 def single_reception_violations(schedule: Schedule) -> list[str]:

@@ -36,35 +36,30 @@ from repro.schedule.ops import Schedule
 __all__ = ["violations_np", "violations_np_implicit"]
 
 
-def _causality(
-    schedule: Schedule, cols: ScheduleColumns, problems: list[str]
+def _format_causality(
+    cols: ScheduleColumns,
+    have: np.ndarray,
+    early: np.ndarray,
+    never: np.ndarray | None,
+    problems: list[str],
 ) -> None:
-    n = len(cols.times)
-    avail_keys, avail_times, item_ids, n_items = availability_arrays(
-        schedule, cols
-    )
-    # look up availability of (src, item) for every send
-    send_keys = cols.srcs * n_items + cols.items
-    pos = np.searchsorted(avail_keys, send_keys)
-    pos_c = np.minimum(pos, len(avail_keys) - 1)
-    found = (len(avail_keys) > 0) & (avail_keys[pos_c] == send_keys)
-    have = np.where(found, avail_times[pos_c], 0)
-    never = ~found
-    early = found & (cols.times < have)
+    """Causality and self-send strings for the flagged sends of ``cols``.
+
+    ``have`` is each send's hold time and ``early`` flags sends before
+    it; ``never`` (whole-schedule checks only) flags sends of an item
+    the sender never holds.  Reports come in replay order (time, src,
+    dst) with positional tie-break, causality before self-send per op.
+    """
     selfsend = cols.srcs == cols.dsts
-    if not (never.any() or early.any() or selfsend.any()):
+    flagged = early | selfsend if never is None else never | early | selfsend
+    if not flagged.any():
         return
-    # format in replay order (time, src, dst)
-    # with positional tie-break, causality before self-send per op
-    rev = [None] * n_items
-    for item, idx in item_ids.items():
-        rev[idx] = item
     order = np.lexsort((cols.dsts, cols.srcs, cols.times))
-    flagged = order[(never | early | selfsend)[order]]
-    for i in flagged.tolist():
-        t, src, dst = int(cols.times[i]), int(cols.srcs[i]), int(cols.dsts[i])
-        item = rev[int(cols.items[i])]
-        if never[i]:
+    items = cols.table.items
+    for i in order[flagged[order]].tolist():
+        t, src = int(cols.times[i]), int(cols.srcs[i])
+        item = items[int(cols.items[i])]
+        if never is not None and never[i]:
             problems.append(
                 f"causality: proc {src} sends item {item!r} at t={t} "
                 f"but never holds it"
@@ -76,6 +71,19 @@ def _causality(
             )
         if selfsend[i]:
             problems.append(f"self-send: proc {src} at t={t}")
+
+
+def _causality(
+    schedule: Schedule, cols: ScheduleColumns, problems: list[str]
+) -> None:
+    avail_keys, avail_times, _, n_items = availability_arrays(schedule, cols)
+    # look up availability of (src, item) for every send
+    send_keys = cols.srcs * n_items + cols.items
+    pos = np.searchsorted(avail_keys, send_keys)
+    pos_c = np.minimum(pos, len(avail_keys) - 1)
+    found = (len(avail_keys) > 0) & (avail_keys[pos_c] == send_keys)
+    have = np.where(found, avail_times[pos_c], 0)
+    _format_causality(cols, have, found & (cols.times < have), ~found, problems)
 
 
 def _adjacent_gap(
@@ -247,21 +255,9 @@ def violations_np_implicit(
         hi = min(lo + max_sends, implicit.num_sends)
         facts = implicit.chunk_with_facts(lo, hi)
         cols = facts.cols
-        early = cols.times < facts.send_avail
-        selfsend = cols.srcs == cols.dsts
-        if early.any() or selfsend.any():
-            order = np.lexsort((cols.dsts, cols.srcs, cols.times))
-            flagged = order[(early | selfsend)[order]]
-            for i in flagged.tolist():
-                t, src = int(cols.times[i]), int(cols.srcs[i])
-                item = cols.table.items[int(cols.items[i])]
-                if early[i]:
-                    problems.append(
-                        f"causality: proc {src} sends item {item!r} at t={t} "
-                        f"but only holds it from t={int(facts.send_avail[i])}"
-                    )
-                if selfsend[i]:
-                    problems.append(f"self-send: proc {src} at t={t}")
+        _format_causality(
+            cols, facts.send_avail, cols.times < facts.send_avail, None, problems
+        )
         _adjacent_gap(
             cols.srcs,
             cols.times,

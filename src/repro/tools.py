@@ -67,7 +67,6 @@ MODULES = [
     "repro.serve.cache",
     "repro.serve.service",
     "repro.serve.http",
-    "repro.sim.machine",
     "repro.sim.validate",
     "repro.sim.validate_np",
     "repro.sim.trace",

@@ -10,7 +10,7 @@ import pytest
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import broadcast_delay_per_proc, item_completion_times
 from repro.schedule.ops import Schedule
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.sim.validate import single_reception_violations
 
 

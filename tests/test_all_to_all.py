@@ -14,7 +14,7 @@ from repro.core.all_to_all import (
 )
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import availability, completion_time
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 
 class TestLowerBounds:

@@ -258,7 +258,7 @@ class TestOptCommand:
 
     def test_opt_out_roundtrips(self, tmp_path, capsys):
         from repro.schedule.serialize import load_schedule
-        from repro.sim.machine import replay
+        from repro.sim.validate import replay
 
         path = tmp_path / "opt.json"
         assert main([

@@ -10,7 +10,7 @@ from repro.core.combining import (
 from repro.core.fib import broadcast_time, fib
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import availability
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 
 class TestTheorem41:

@@ -14,7 +14,7 @@ from repro.core.continuous.schedule import (
 )
 from repro.core.fib import reachable_postal
 from repro.schedule.analysis import item_delays
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.sim.validate import is_single_sending, single_reception_violations
 
 

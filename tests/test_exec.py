@@ -37,10 +37,10 @@ from repro.exec import (
 )
 from repro.exec.program import KIND_RECV, KIND_SEND, RankProgram
 from repro.exec.trace import ExecTrace, delivered_json
+from repro.exec.transport import format_blocked, format_rank_set
 from repro.params import LogPParams, postal
 from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule, SendOp
-from repro.sim.machine import format_blocked, format_rank_set
 
 TRANSPORTS = available_transports()
 
@@ -429,30 +429,6 @@ class TestBlockedFormatting:
         assert "12 of 16 ranks blocked (ranks 0-11)" in text
         assert "... and 4 more blocked rank(s)" in text
 
-    def test_machine_deadlock_reports_blocked_rank_set(self):
-        from repro.sim.machine import Context, Machine
-
-        class SendToDeaf:
-            def on_start(self, ctx: Context) -> None:
-                if ctx.proc == 1:
-                    ctx.send(0, "x")
-
-            def on_receive(self, ctx, item, src):  # pragma: no cover
-                pass
-
-        # L puts delivery past max_cycles: the send can never land
-        machine = Machine(
-            LogPParams(P=2, L=50, o=1, g=1),
-            {0: SendToDeaf(), 1: SendToDeaf()},
-            max_cycles=10,
-        )
-        with pytest.raises(RuntimeError) as err:
-            machine.run()
-        message = str(err.value)
-        assert "deadlock" in message
-        assert "1 of 2 ranks blocked (ranks 1)" in message
-        assert "proc 1" in message and "proc 0" in message
-
 
 class TestLowerPassAndRegistry:
     def test_lower_pass_in_pipeline_passes_schedule_through(self):
@@ -527,3 +503,11 @@ class TestRunCli:
             assert "mpi4py" in capsys.readouterr().err
         else:  # pragma: no cover - only when mpi4py is installed
             pytest.skip("mpi4py installed; unavailability path not reachable")
+
+
+def test_bench_rows_execute_every_send():
+    from repro.bench import bench_all_to_all, bench_broadcast
+
+    for row in (bench_broadcast(64), bench_all_to_all(16)):
+        assert row["execute_delivered"] == row["sends"] > 0
+        assert row["execute_inproc_s"] > 0

@@ -11,7 +11,7 @@ from repro.core.continuous.l2 import (
 from repro.core.continuous.schedule import expand
 from repro.core.fib import reachable_postal
 from repro.schedule.analysis import item_delays
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.sim.validate import single_reception_violations
 
 

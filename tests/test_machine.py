@@ -1,41 +1,11 @@
-"""Tests for the cycle-stepped reactive machine and replay."""
+"""Tests for replay: the validator-backed simulator entry point."""
 
 import pytest
 
 from repro.core.single_item import optimal_broadcast_schedule
-from repro.params import LogPParams, postal
-from repro.schedule.analysis import broadcast_delay_per_proc, completion_time
+from repro.params import postal
 from repro.schedule.ops import Schedule
-from repro.sim.machine import Context, Machine, replay
-from repro.core.fib import broadcast_time
-
-
-class Flood:
-    """Greedy broadcast program: forward the item to everyone above you."""
-
-    def on_start(self, ctx: Context) -> None:
-        if ctx.has(0):
-            for dst in range(ctx.params.P):
-                if dst != ctx.proc:
-                    ctx.send(dst, 0)
-
-    def on_receive(self, ctx: Context, item, src) -> None:
-        pass
-
-
-class GreedyRelay:
-    """Every informed processor relays to all higher-numbered processors."""
-
-    def on_start(self, ctx: Context) -> None:
-        if ctx.has(0):
-            self._relay(ctx)
-
-    def on_receive(self, ctx: Context, item, src) -> None:
-        self._relay(ctx)
-
-    def _relay(self, ctx: Context) -> None:
-        for dst in range(ctx.proc + 1, ctx.params.P):
-            ctx.send(dst, 0)
+from repro.sim.validate import replay
 
 
 class TestReplay:
@@ -48,54 +18,3 @@ class TestReplay:
         s.add(time=0, src=1, dst=2, item=0)
         with pytest.raises(ValueError):
             replay(s)
-
-
-class TestMachine:
-    def test_flood_reaches_everyone(self):
-        params = postal(P=5, L=2)
-        m = Machine(params, {0: Flood()})
-        schedule = m.run()
-        delays = broadcast_delay_per_proc(schedule)
-        assert set(delays) == set(range(5))
-        # source sends back to back: arrivals at L, L+1, ...
-        assert sorted(delays.values()) == [0, 2, 3, 4, 5]
-
-    def test_emitted_schedule_is_legal(self):
-        params = LogPParams(P=6, L=4, o=1, g=2)
-        m = Machine(params, {p: GreedyRelay() for p in range(6)})
-        schedule = m.run()
-        replay(schedule)  # must not raise
-        assert set(broadcast_delay_per_proc(schedule)) == set(range(6))
-
-    def test_greedy_relay_matches_optimal_when_tree_is_chainlike(self):
-        # with P=2 any strategy is L + 2o
-        params = LogPParams(P=2, L=5, o=1, g=2)
-        m = Machine(params, {p: GreedyRelay() for p in range(2)})
-        schedule = m.run()
-        assert completion_time(schedule) == params.send_cost
-
-    def test_machine_respects_overheads(self):
-        params = LogPParams(P=4, L=3, o=2, g=2)
-        m = Machine(params, {p: GreedyRelay() for p in range(4)})
-        schedule = m.run()
-        replay(schedule)
-
-    def test_rejects_self_send(self):
-        class Bad:
-            def on_start(self, ctx):
-                ctx.send(ctx.proc, 0)
-
-            def on_receive(self, ctx, item, src):
-                pass
-
-        with pytest.raises(ValueError):
-            Machine(postal(P=2, L=1), {0: Bad()}).run()
-
-    def test_greedy_flood_never_beats_optimal(self):
-        # B(P) is optimal: no reactive program can finish sooner
-        for P in (3, 5, 8):
-            params = LogPParams(P=P, L=3, o=1, g=2)
-            m = Machine(params, {p: GreedyRelay() for p in range(P)})
-            schedule = m.run()
-            done = max(broadcast_delay_per_proc(schedule).values())
-            assert done >= broadcast_time(P, params)

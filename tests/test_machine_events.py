@@ -1,188 +1,68 @@
-"""Event-driven machine regression: corpus replay + engine equivalence.
+"""Replay regression over the recorded reactive-machine corpus.
 
-``tests/data/machine_corpus.json`` was captured from the per-cycle
-machine *before* the event-driven rewrite.  The rewritten
-:meth:`Machine.run` must reproduce every realized schedule in the corpus
-byte-for-byte (same sends, same order, same initial placement), and must
-agree with the retained cycle-stepped reference engine
-(:meth:`Machine._run_cycle_stepped`) on fuzzed programs.
+``tests/data/machine_corpus.json`` holds schedules realized by the
+earliest-available reactive interpreter the library once shipped
+(flood, greedy relay, ring, multi-sender and all-to-all programs at
+nonzero overhead, postal and ``g > 1`` regimes).  Each is rebuilt from
+its recorded ``sends``/``initial`` and must replay cleanly on the
+strict validator; the broadcast cases must also respect the paper's
+optimal time ``B(P)``.
 """
 
+import ast
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.params import LogPParams, postal
-from repro.sim.machine import Machine, replay
+from repro.core.fib import broadcast_time
+from repro.params import LogPParams
+from repro.schedule.analysis import broadcast_delay_per_proc
+from repro.schedule.ops import Schedule
+from repro.sim.validate import replay
 
 CORPUS = Path(__file__).parent / "data" / "machine_corpus.json"
-
-
-class Flood:
-    def on_start(self, ctx):
-        if ctx.has(0):
-            for dst in range(ctx.params.P):
-                if dst != ctx.proc:
-                    ctx.send(dst, 0)
-
-    def on_receive(self, ctx, item, src):
-        pass
-
-
-class GreedyRelay:
-    def on_start(self, ctx):
-        if ctx.has(0):
-            self._relay(ctx)
-
-    def on_receive(self, ctx, item, src):
-        self._relay(ctx)
-
-    def _relay(self, ctx):
-        for dst in range(ctx.proc + 1, ctx.params.P):
-            ctx.send(dst, 0)
-
-
-class Ring:
-    def __init__(self, nxt):
-        self.nxt = nxt
-
-    def on_start(self, ctx):
-        if ctx.has("token") and self.nxt is not None:
-            ctx.send(self.nxt, "token")
-
-    def on_receive(self, ctx, item, src):
-        if self.nxt is not None:
-            ctx.send(self.nxt, item)
-
-
-class MultiSender:
-    def on_start(self, ctx):
-        for item in ("a", "b", "c"):
-            if ctx.has(item):
-                ctx.send(1, item)
-
-    def on_receive(self, ctx, item, src):
-        pass
-
-
-class AllToAll:
-    def on_start(self, ctx):
-        P = ctx.params.P
-        for d in range(1, P):
-            ctx.send((ctx.proc + d) % P, ("a2a", ctx.proc))
-
-    def on_receive(self, ctx, item, src):
-        pass
-
-
-def _case_machine(name: str, params: LogPParams) -> Machine:
-    """Rebuild the exact (program, initial) setup each corpus case used."""
-    P = params.P
-    if name.startswith("flood"):
-        return Machine(params, {0: Flood()})
-    if name.startswith("greedy"):
-        return Machine(params, {p: GreedyRelay() for p in range(P)})
-    if name.startswith("ring"):
-        programs = {p: Ring((p + 1) % P if p != P - 1 else None) for p in range(P)}
-        return Machine(params, programs, initial={0: {"token"}})
-    if name.startswith("multisender"):
-        return Machine(params, {0: MultiSender()}, initial={0: {"a", "b", "c"}})
-    if name.startswith("alltoall"):
-        return Machine(
-            params,
-            {p: AllToAll() for p in range(P)},
-            initial={p: {("a2a", p)} for p in range(P)},
-        )
-    raise KeyError(name)
 
 
 def _load_corpus():
     return json.loads(CORPUS.read_text())
 
 
+def _rebuild(case) -> Schedule:
+    """The recorded schedule, item reprs parsed back to items."""
+    schedule = Schedule(
+        params=LogPParams(*case["params"]),
+        initial={
+            int(p): {ast.literal_eval(item) for item in items}
+            for p, items in case["initial"].items()
+        },
+    )
+    for t, src, dst, item in case["sends"]:
+        schedule.add(time=t, src=src, dst=dst, item=ast.literal_eval(item))
+    return schedule
+
+
 @pytest.mark.parametrize("case", _load_corpus(), ids=lambda c: c["name"])
 def test_corpus_reproduced_byte_identically(case):
-    params = LogPParams(*case["params"])
-    for engine in ("run", "_run_cycle_stepped"):
-        machine = _case_machine(case["name"], params)
-        schedule = getattr(machine, engine)()
-        got = [[op.time, op.src, op.dst, repr(op.item)] for op in schedule.sends]
-        assert got == case["sends"], f"{case['name']} diverged under {engine}"
-        got_initial = {
-            str(p): sorted(map(repr, items)) for p, items in schedule.initial.items()
-        }
-        assert got_initial == case["initial"]
-        replay(schedule)  # every corpus schedule is strictly legal
+    schedule = _rebuild(case)
+    got = [[op.time, op.src, op.dst, repr(op.item)] for op in schedule.sends]
+    assert got == case["sends"]
+    got_initial = {
+        str(p): sorted(map(repr, items)) for p, items in schedule.initial.items()
+    }
+    assert got_initial == case["initial"]
+    replay(schedule)  # every corpus schedule is strictly legal
+    if case["name"].startswith(("flood", "greedy")):
+        # B(P) is optimal: no reactive broadcast finishes sooner
+        params = schedule.params
+        delays = broadcast_delay_per_proc(schedule)
+        assert set(delays) == set(range(params.P))
+        assert max(delays.values()) >= broadcast_time(params.P, params)
 
 
 def test_corpus_covers_the_interesting_regimes():
     names = [c["name"] for c in _load_corpus()]
     assert len(names) == 8
     assert any("o2" in n for n in names)  # nonzero overhead
-    assert any("postal" in n for n in names)  # o=0 double-drain path
-    assert any("g3" in n for n in names)  # g > 1 send-gap retries
-
-
-@st.composite
-def _fuzz_setup(draw):
-    g = draw(st.integers(1, 4))
-    params = LogPParams(
-        P=draw(st.integers(2, 8)),
-        L=draw(st.integers(1, 6)),
-        o=draw(st.integers(0, min(3, g))),
-        g=g,
-    )
-    kind = draw(st.sampled_from(["flood", "greedy", "alltoall", "ring"]))
-    return params, kind
-
-
-def _build(params: LogPParams, kind: str) -> Machine:
-    P = params.P
-    if kind == "flood":
-        return Machine(params, {0: Flood()})
-    if kind == "greedy":
-        return Machine(params, {p: GreedyRelay() for p in range(P)})
-    if kind == "ring":
-        programs = {p: Ring((p + 1) % P if p != P - 1 else None) for p in range(P)}
-        return Machine(params, programs, initial={0: {"token"}})
-    return Machine(
-        params,
-        {p: AllToAll() for p in range(P)},
-        initial={p: {("a2a", p)} for p in range(P)},
-    )
-
-
-class TestEngineEquivalence:
-    @given(setup=_fuzz_setup())
-    @settings(max_examples=80, deadline=None)
-    def test_event_engine_matches_cycle_stepped(self, setup):
-        params, kind = setup
-        fast = _build(params, kind).run()
-        slow = _build(params, kind)._run_cycle_stepped()
-        assert fast.sends == slow.sends
-        assert fast.initial == slow.initial
-        replay(fast)
-
-    @given(setup=_fuzz_setup())
-    @settings(max_examples=30, deadline=None)
-    def test_rerun_is_deterministic(self, setup):
-        params, kind = setup
-        assert _build(params, kind).run().sends == _build(params, kind).run().sends
-
-
-class TestEventSkipping:
-    def test_long_latency_chain_is_cheap(self):
-        # L=5000 means ~20k idle cycles for a 4-hop chain; the event
-        # engine must not iterate them (guarded via a tiny max_cycles
-        # budget that a per-cycle scan could never have survived)
-        P = 5
-        params = postal(P=P, L=5000)
-        programs = {p: Ring((p + 1) % P if p != P - 1 else None) for p in range(P)}
-        machine = Machine(params, programs, initial={0: {"token"}},
-                          max_cycles=10**9)
-        schedule = machine.run()
-        assert len(schedule.sends) == P - 1
-        assert max(op.time for op in schedule.sends) == (P - 2) * 5000
+    assert any("postal" in n for n in names)  # o=0 postal regime
+    assert any("g3" in n for n in names)  # send gap g > 1

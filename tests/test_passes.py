@@ -44,7 +44,7 @@ from repro.registry import completion, plan
 from repro.schedule.ops import Schedule, SendOp
 from repro.schedule.serialize import load_schedule, schedule_to_json
 from repro.schedule.transform import remap, restrict, reverse, shift
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 from tests.oracles.builders import REGISTRY_ORACLES
 from tests.oracles.transform import run_pass_objects

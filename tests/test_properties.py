@@ -25,7 +25,7 @@ from repro.core.summation.capacity import operand_distribution, summation_capaci
 from repro.core.tree import optimal_tree, tree_for_time
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import broadcast_delay_per_proc
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 @st.composite
 def _logp_params(draw):
@@ -190,7 +190,7 @@ class TestExpansionFuzz:
         from repro.core.continuous.assignment import solve_instance
         from repro.core.continuous.relative import instance_for
         from repro.core.continuous.schedule import expand_assignment
-        from repro.sim.machine import replay as _replay
+        from repro.sim.validate import replay as _replay
         from repro.sim.validate import single_reception_violations
         from repro.schedule.analysis import item_delays
 
@@ -215,7 +215,7 @@ class TestExpansionFuzz:
             single_sending_schedule,
         )
         from repro.core.kitem.star import star_fits
-        from repro.sim.machine import replay as _replay
+        from repro.sim.validate import replay as _replay
 
         if not star_fits(P, L) and L > 7:
             return  # outside both the verified small-L range and the star regime

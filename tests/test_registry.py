@@ -28,7 +28,7 @@ from repro import registry
 from repro.analyze import assert_lint_clean
 from repro.params import LogPParams
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 from tests.oracles.builders import REGISTRY_ORACLES
 

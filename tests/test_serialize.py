@@ -12,7 +12,7 @@ from repro.schedule.serialize import (
     schedule_from_json,
     schedule_to_json,
 )
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 
 def roundtrip(schedule):

@@ -12,7 +12,7 @@ from repro.core.kitem.star import (
     star_tree,
 )
 from repro.schedule.analysis import item_completion_times
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 from repro.sim.validate import is_single_sending, single_reception_violations
 
 

@@ -10,7 +10,7 @@ from repro.core.summation.capacity import (
 )
 from repro.core.summation.schedule import summation_schedule, verify_summation
 from repro.params import LogPParams, postal
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 FIG6 = LogPParams(P=8, L=5, o=2, g=4)
 

@@ -7,7 +7,7 @@ from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import availability, broadcast_delay_per_proc, completion_time
 from repro.schedule.transform import concat, remap, restrict, reverse, shift
-from repro.sim.machine import replay
+from repro.sim.validate import replay
 
 FIG1 = LogPParams(P=8, L=6, o=2, g=4)
 
