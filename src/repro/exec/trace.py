@@ -3,9 +3,10 @@
 An :class:`ExecTrace` records what a real transport actually delivered
 — the multiset of ``(src, dst, item)`` triples — in the same canonical
 JSON shape the simulator's realized schedule reduces to, so the two
-can be compared *byte for byte*: :func:`verify_against_sim` renders
-both sides with the schedule serializer's item encoding and
-``CANONICAL_DUMPS`` and asserts equality.
+can be compared *byte for byte*: both sides are written by one
+canonical writer, with the schedule serializer's item encoding
+(:func:`~repro.schedule.serialize.item_json`), and
+:func:`verify_against_sim` asserts they agree.
 
 This is a keying module (REPRO005/006): every ``json.dumps`` is
 canonical and nothing here may consult clocks or randomness — a trace
@@ -17,12 +18,12 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from repro.exec.errors import ExecVerificationError
 from repro.params import LogPParams
 from repro.schedule.ops import Item, Schedule
-from repro.schedule.serialize import CANONICAL_DUMPS, encode_item
+from repro.schedule.serialize import CANONICAL_DUMPS, item_json, params_json
 
 __all__ = [
     "TRACE_FORMAT",
@@ -35,38 +36,30 @@ __all__ = [
 TRACE_FORMAT = "logp-exec-trace/1"
 
 Triple = tuple[int, int, Item]
+Row = tuple[int, int, str]
+
+_FORMAT_JSON = json.dumps(TRACE_FORMAT, **CANONICAL_DUMPS)
 
 
-def _triple_doc(triple: Triple) -> list[Any]:
-    src, dst, item = triple
-    return [src, dst, encode_item(item)]
+def _rows(triples: Iterable[Triple], memo: dict[Any, str]) -> list[Row]:
+    """``(src, dst, canonical item JSON)`` rows in canonical order."""
+    return sorted([(src, dst, item_json(item, memo)) for src, dst, item in triples])
 
 
-def _triple_key(triple: Triple) -> tuple[int, int, str]:
-    src, dst, item = triple
-    return (src, dst, json.dumps(encode_item(item), **CANONICAL_DUMPS))
-
-
-def delivered_json(params: LogPParams, triples: list[Triple]) -> str:
+def delivered_json(params: LogPParams, triples: Iterable[Triple]) -> str:
     """Canonical JSON of a delivered multiset.
 
     The triples are sorted by ``(src, dst, canonical item JSON)``, so
     any two executions delivering the same multiset — simulator or real
     transport, any thread interleaving — produce identical bytes.
     """
-    payload = {
-        "format": TRACE_FORMAT,
-        "params": {
-            "P": params.P,
-            "L": params.L,
-            "o": params.o,
-            "g": params.g,
-        },
-        "delivered": [
-            _triple_doc(t) for t in sorted(triples, key=_triple_key)
-        ],
-    }
-    return json.dumps(payload, **CANONICAL_DUMPS)
+    delivered = ",".join(
+        [f"[{src},{dst},{text}]" for src, dst, text in _rows(triples, {})]
+    )
+    return (
+        f'{{"delivered":[{delivered}],"format":{_FORMAT_JSON},'
+        f'"params":{params_json(params)}}}'
+    )
 
 
 @dataclass(frozen=True)
@@ -84,7 +77,7 @@ class ExecTrace:
     def to_json(self) -> str:
         """Canonical JSON (transport-independent by design: the same
         plan on ``inproc`` and ``mp`` must yield identical bytes)."""
-        return delivered_json(self.params, list(self.delivered))
+        return delivered_json(self.params, self.delivered)
 
 
 def sim_delivered(schedule: Schedule) -> list[Triple]:
@@ -108,8 +101,10 @@ def sim_delivered(schedule: Schedule) -> list[Triple]:
     cols = schedule.columns()
     items = cols.table.items
     return [
-        (int(src), int(dst), items[int(code)])
-        for src, dst, code in zip(cols.srcs, cols.dsts, cols.items)
+        (src, dst, items[code])
+        for src, dst, code in zip(
+            cols.srcs.tolist(), cols.dsts.tolist(), cols.items.tolist()
+        )
     ]
 
 
@@ -117,17 +112,19 @@ def verify_against_sim(schedule: Schedule, trace: ExecTrace) -> None:
     """Assert the trace's delivered multiset matches the simulator's,
     byte for byte in canonical form.
 
-    Raises :class:`ExecVerificationError` with a counted diff (missing
-    and unexpected triples) on divergence.
+    Both sides are reduced once to the sorted rows their canonical JSON
+    is written from (:func:`delivered_json`), sharing one item memo; the
+    rows are equal exactly when the bytes are.  Raises
+    :class:`ExecVerificationError` with a counted diff (missing and
+    unexpected triples) on divergence.
     """
-    expected = delivered_json(schedule.params, sim_delivered(schedule))
-    actual = trace.to_json()
-    if expected == actual:
+    memo: dict[Any, str] = {}
+    want = _rows(sim_delivered(schedule), memo)
+    got = _rows(trace.delivered, memo)
+    if want == got and schedule.params == trace.params:
         return
-    want = Counter(_triple_key(t) for t in sim_delivered(schedule))
-    got = Counter(_triple_key(t) for t in trace.delivered)
-    missing = want - got
-    extra = got - want
+    missing = Counter(want) - Counter(got)
+    extra = Counter(got) - Counter(want)
     parts = [
         f"delivered multiset diverges from the simulator on "
         f"{trace.transport}: {sum(missing.values())} missing, "

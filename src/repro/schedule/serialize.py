@@ -7,23 +7,36 @@ format is stable and self-describing::
     {
       "format": "logp-schedule/1",
       "params": {"P": 8, "L": 6, "o": 2, "g": 4},
-      "initial": [[0, [[0]]]],
-      "source_items": [],
-      "sends": [[0, 0, 1, [0]], ...]        # [time, src, dst, item]
+      "initial": [[0, [0]]],                # [proc, [item, ...]]
+      "source_items": [],                   # [item, creation time]
+      "sends": [[0, 0, 1, 0], ...]          # [time, src, dst, item]
     }
 
-Items are encoded structurally (ints, strings, and tuples thereof) so the
-tuple-tagged items used across the library round-trip exactly.  Schedules
-targeting a non-default machine carry an extra ``"machine"`` key holding
-the topology's canonical doc (see
+Items are encoded structurally (ints, strings, tuples as ``{"t": [...]}``
+and frozensets as ``{"fs": [...]}``) so the tuple-tagged items used
+across the library round-trip exactly.  Schedules targeting a
+non-default machine carry an extra ``"machine"`` key holding the
+topology's canonical doc (see
 :meth:`repro.machine.model.MachineModel.canonical_doc`); flat schedules
 omit it, so their serialized bytes — and cached content hashes — are
 unchanged from earlier format revisions.
+
+There are two forms.  The default (:func:`schedule_to_json`) is
+``json.dumps`` of :func:`schedule_payload`, the form every checked-in
+corpus file was written in.  The canonical form (sorted keys, compact
+separators) has one writer, :func:`canonical_json`: it writes the text
+straight from the schedule's columns and interned item table, encoding
+each distinct item once (:func:`item_json`) instead of building a
+per-send payload for ``json.dumps`` to walk.  The plan cache's content
+(:func:`repro.serve.keys.plan_content`) and the exec layer's delivered
+traces (:mod:`repro.exec.trace`) are written with the same item
+encoding.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from repro.params import LogPParams
@@ -31,6 +44,9 @@ from repro.schedule.ops import Schedule, SendOp
 
 __all__ = [
     "encode_item",
+    "item_json",
+    "params_json",
+    "canonical_json",
     "schedule_payload",
     "schedule_to_json",
     "schedule_from_json",
@@ -39,6 +55,7 @@ __all__ = [
 ]
 
 FORMAT = "logp-schedule/1"
+_FORMAT_JSON = encode_basestring_ascii(FORMAT)
 
 #: ``json.dumps`` keywords for ``canonical=True`` output: one byte
 #: sequence per payload, independent of dict insertion order.  The plan
@@ -72,14 +89,112 @@ def _decode_item(obj: Any) -> Any:
     return obj
 
 
-def schedule_payload(schedule: Schedule) -> dict[str, Any]:
-    """The schedule's JSON-ready payload dict (the serialized form,
-    before ``json.dumps``).
+def _item_text(item: Any) -> str:
+    cls = type(item)
+    if cls is int:
+        return int.__repr__(item)
+    if cls is str:
+        return encode_basestring_ascii(item)
+    if cls is tuple:
+        return '{"t":[' + ",".join([_item_text(x) for x in item]) + "]}"
+    return json.dumps(_encode_item(item), **CANONICAL_DUMPS)
 
-    Sends are emitted in replay order straight from the schedule's cached
-    column arrays (each distinct item is encoded once via the interning
-    table), so array-backed schedules serialize without ever
-    materializing ``SendOp`` objects.
+
+def item_json(item: Any, memo: dict[Any, str]) -> str:
+    """The canonical JSON text of one item.
+
+    The bytes are those of
+    ``json.dumps(encode_item(item), **CANONICAL_DUMPS)``.  Exact ``int``
+    and ``str`` are written directly and a tuple is joined from its
+    parts; a writer passes one ``memo`` per call, so it encodes each
+    distinct tuple item once.  Like :class:`ItemTable
+    <repro.schedule.columnar.ItemTable>` interning, ``memo`` is keyed by
+    equality, so one writer call must not mix items that are equal but
+    encode differently (``1`` and ``True``).  Every other type
+    (``bool``, ``frozenset``, ``int`` subclasses) goes through
+    ``json.dumps``, so its bytes cannot change.
+    """
+    if type(item) is not tuple:
+        return _item_text(item)
+    text = memo.get(item)
+    if text is None:
+        text = memo[item] = _item_text(item)
+    return text
+
+
+def params_json(params: LogPParams) -> str:
+    """Canonical JSON of a ``params`` object (keys sorted)."""
+    return (
+        f'{{"L":{_item_text(params.L)},"P":{_item_text(params.P)},'
+        f'"g":{_item_text(params.g)},"o":{_item_text(params.o)}}}'
+    )
+
+
+def canonical_json(schedule: Schedule, *, drop_time0_sources: bool = False) -> str:
+    """The byte-canonical serialized form of a schedule.
+
+    Exactly ``json.dumps(schedule_payload(schedule), **CANONICAL_DUMPS)``,
+    written straight from the schedule's columns: each send is one
+    ``[t,s,d,item]`` row in replay order, and each distinct item is
+    encoded once, from the interning table.  No payload dict is built.
+    ``drop_time0_sources`` omits ``source_items`` entries created at
+    time 0 (the plan cache's content form, see
+    :func:`repro.serve.keys.plan_content`).
+    """
+    from repro.schedule.columnar import sort_order
+
+    cols = schedule.columns()
+    order = sort_order(cols)
+    memo: dict[Any, str] = {}
+    table = [item_json(item, memo) for item in cols.table.items]
+    sends = ",".join(
+        [
+            f"[{t},{s},{d},{table[c]}]"
+            for t, s, d, c in zip(
+                cols.times[order].tolist(),
+                cols.srcs[order].tolist(),
+                cols.dsts[order].tolist(),
+                cols.items[order].tolist(),
+            )
+        ]
+    )
+    initial = ",".join(
+        [
+            f"[{_item_text(proc)},["
+            + ",".join([item_json(item, memo) for item in sorted(items, key=repr)])
+            + "]]"
+            for proc, items in sorted(schedule.initial.items())
+        ]
+    )
+    sources = ",".join(
+        [
+            f"[{item_json(item, memo)},{_item_text(when)}]"
+            for item, when in sorted(schedule.source_items.items(), key=repr)
+            if not (drop_time0_sources and when == 0)
+        ]
+    )
+    machine = ""
+    if schedule.machine is not None:
+        # only present for machine-attached schedules, so every flat
+        # plan (and its cached content hash) stays byte-identical
+        doc = json.dumps(schedule.machine.canonical_doc(), **CANONICAL_DUMPS)
+        machine = f'"machine":{doc},'
+    return (
+        f'{{"format":{_FORMAT_JSON},"initial":[{initial}],{machine}'
+        f'"params":{params_json(schedule.params)},"sends":[{sends}],'
+        f'"source_items":[{sources}]}}'
+    )
+
+
+def schedule_payload(schedule: Schedule) -> dict[str, Any]:
+    """The schedule's JSON-ready payload dict, before ``json.dumps``.
+
+    :func:`schedule_to_json` dumps it for the non-canonical corpus form;
+    :func:`canonical_json` writes the same content as text.  Sends are
+    emitted in replay order straight from the schedule's cached column
+    arrays (each distinct item is encoded once via the interning table),
+    so array-backed schedules serialize without ever materializing
+    ``SendOp`` objects.
     """
     from repro.schedule.columnar import sort_order
 
@@ -123,18 +238,18 @@ def schedule_to_json(schedule: Schedule, canonical: bool = False) -> str:
     """Serialize a schedule to a JSON string.
 
     ``canonical=True`` emits the byte-canonical form (sorted keys,
-    compact separators — :data:`CANONICAL_DUMPS`) used by the plan
-    cache's content hashing; the default form keeps ``json.dumps``'s
-    standard separators, which every checked-in corpus file was written
-    with.  Both forms carry the identical payload
-    (:func:`schedule_payload`) and load back identically.
+    compact separators — :data:`CANONICAL_DUMPS`) through
+    :func:`canonical_json`, the writer the plan cache's content hashing
+    also uses.  The default form keeps ``json.dumps``'s standard
+    separators, which every checked-in corpus file was written with.
+    Both forms carry the identical payload (:func:`schedule_payload`)
+    and load back identically.
     """
-    payload = schedule_payload(schedule)
     if canonical:
-        return json.dumps(payload, **CANONICAL_DUMPS)
+        return canonical_json(schedule)
     # The non-canonical default is the checked-in corpus format; nothing
-    # hashes these bytes (content keys always pass canonical=True).
-    return json.dumps(payload)  # repro: ignore[REPRO005]
+    # hashes these bytes (content keys always come from canonical_json).
+    return json.dumps(schedule_payload(schedule))  # repro: ignore[REPRO005]
 
 
 def schedule_from_json(text: str) -> Schedule:

@@ -20,10 +20,10 @@ Durability rules:
   half-written entry under the final name;
 * reads are corruption-tolerant — a missing file, malformed JSON, an
   index whose recorded key does not match the request, or a blob whose
-  bytes do not hash to their filename all count as a miss (tallied in
-  ``corrupt_reads`` when the entry existed but was bad), and the caller
-  replans and rewrites.  A corrupt cache can cost time, never
-  correctness.
+  bytes are not UTF-8 or do not hash to their filename all count as a
+  miss (tallied in ``corrupt_reads`` when the entry existed but was
+  bad), and the caller replans and rewrites.  A corrupt cache can cost
+  time, never correctness.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class DiskCache:
             text = self._blob_path(blob_hash).read_text()
         except FileNotFoundError:
             return None
-        except OSError:
+        except (OSError, UnicodeDecodeError):
             with self._lock:
                 self.corrupt_reads += 1
             return None

@@ -31,7 +31,7 @@ from typing import Any, Mapping
 from repro import registry
 from repro.params import LogPParams
 from repro.schedule.ops import Schedule
-from repro.schedule.serialize import CANONICAL_DUMPS, schedule_payload
+from repro.schedule.serialize import CANONICAL_DUMPS, canonical_json
 
 __all__ = [
     "PlanRequest",
@@ -226,17 +226,14 @@ def request_key_hash(request: PlanRequest) -> str:
 def plan_content(schedule: Schedule) -> str:
     """The plan's canonical content: the cached (and served) byte form.
 
-    Canonical JSON (sorted keys, compact separators) of the serialized
-    payload, with semantically redundant time-0 ``source_items`` entries
-    dropped (creation time defaults to 0), so builders that record the
-    root item's creation explicitly and builders that do not hash to the
-    same content address.
+    The schedule's canonical JSON
+    (:func:`repro.schedule.serialize.canonical_json`) with semantically
+    redundant time-0 ``source_items`` entries dropped (creation time
+    defaults to 0), so builders that record the root item's creation
+    explicitly and builders that do not hash to the same content
+    address.
     """
-    payload = schedule_payload(schedule)
-    payload["source_items"] = [
-        entry for entry in payload["source_items"] if entry[1] != 0
-    ]
-    return json.dumps(payload, **CANONICAL_DUMPS)
+    return canonical_json(schedule, drop_time0_sources=True)
 
 
 def content_hash(content: str) -> str:

@@ -190,6 +190,38 @@ class TestExecVsSim:
         with pytest.raises(ExecVerificationError, match="missing"):
             verify_against_sim(schedule, wrong)
 
+    def test_verification_diff_names_one_dropped_and_one_injected(
+        self, monkeypatch
+    ):
+        import repro.sim.validate_np as validate_np
+        from repro.exec import ExecVerificationError
+
+        schedule = registry.plan("all-to-all", P=4, L=3)
+        delivered = sim_delivered(schedule)
+        dropped = max(delivered)
+        assert dropped == (3, 2, ("a2a", 3))
+        wrong = ExecTrace(
+            params=schedule.params,
+            transport="inproc",
+            delivered=(*(t for t in delivered if t != dropped), (0, 3, ("x", 7))),
+        )
+        calls = []
+        real = validate_np.violations_np
+        monkeypatch.setattr(
+            validate_np,
+            "violations_np",
+            lambda s: calls.append(s) or real(s),
+        )
+        with pytest.raises(ExecVerificationError) as err:
+            verify_against_sim(schedule, wrong)
+        assert str(err.value) == (
+            "delivered multiset diverges from the simulator on inproc: "
+            "1 missing, 1 unexpected; "
+            'first missing: 3 -> 2 item {"t":["a2a",3]}; '
+            'first unexpected: 0 -> 3 item {"t":["x",7]}'
+        )
+        assert len(calls) == 1
+
     def test_verify_rejects_bare_exec_plan(self):
         plan = lower_schedule(registry.plan("broadcast", P=4, L=6, o=2, g=4))
         with pytest.raises(ExecError, match="verify"):

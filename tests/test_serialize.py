@@ -1,18 +1,36 @@
 """Tests for schedule JSON serialization."""
 
-import pytest
+import json
 
+import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
+
+from repro import registry
 from repro.core.all_to_all import all_to_all_schedule
 from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
+from repro.exec.trace import delivered_json
+from repro.machine import heal_columns
+from repro.machine.model import machine_from_spec
 from repro.params import LogPParams, postal
 from repro.schedule.serialize import (
+    CANONICAL_DUMPS,
+    canonical_json,
     dump_schedule,
+    encode_item,
+    item_json,
     load_schedule,
     schedule_from_json,
     schedule_to_json,
 )
+from repro.serve.keys import plan_content
 from repro.sim.validate import replay
+from tests.oracles.serialize import (
+    canonical_json_dumps,
+    delivered_json_dumps,
+    plan_content_dumps,
+)
 
 
 def roundtrip(schedule):
@@ -84,3 +102,114 @@ class TestSerializeProperty:
         s.add(0, 0, 1, item=frozenset({1, 2}))
         r = roundtrip(s)
         assert r.initial == s.initial
+
+
+# -- the canonical writer against its json.dumps oracle -------------------
+
+_leaves = (
+    st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.booleans()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", " ", "\U0001f600"])
+)
+_items = st.recursive(
+    _leaves | st.frozensets(st.integers()),
+    lambda inner: st.lists(inner, max_size=4).map(tuple),
+    max_leaves=12,
+)
+
+_POSTAL = ("kitem", "continuous", "allreduce")
+
+
+@st.composite
+def _registry_plans(draw):
+    name = draw(
+        st.sampled_from(
+            ["broadcast", "reduction", "all-to-all", "summation", "hier-bcast",
+             "hier-reduce", *_POSTAL]
+        )
+    )
+    if name.startswith("hier") and draw(st.booleans()):
+        nodes, cores = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+        spec = f"hier:{nodes}x{cores}:6/2/4:2/0/1"
+        dead = set()
+        if name == "hier-bcast":  # heal repairs single-item broadcasts only
+            dead = draw(st.sets(st.integers(1, nodes * cores - 1), max_size=2))
+        if dead:
+            spec += ":dead=" + "+".join(map(str, sorted(dead)))
+        schedule = registry.plan(name, machine=machine_from_spec(spec))
+        return heal_columns(schedule)[0] if dead else schedule
+    kwargs = {"P": draw(st.integers(2, 24)), "L": draw(st.integers(1, 6))}
+    if name not in _POSTAL:
+        kwargs["g"] = draw(st.integers(1, 4))
+        # summation at o == g > 0 trips an internal assertion of the
+        # builder instead of a domain error, so it draws o < g
+        top = kwargs["g"] - (name == "summation")
+        kwargs["o"] = draw(st.integers(0, top))
+    if name in ("kitem", "continuous"):
+        kwargs["k"] = draw(st.integers(1, 5))
+    if name == "summation":
+        kwargs["n"] = draw(st.integers(kwargs["P"], 60))
+    try:
+        return registry.plan(name, **kwargs)
+    except ValueError:  # outside the collective's domain (e.g. continuous P)
+        reject()
+
+
+class TestCanonicalWriter:
+    @given(item=_items)
+    @example(item=((1,), (True,)))
+    @example(item=(True, 1, "\u00e9", frozenset({2, -1})))
+    @settings(max_examples=300, deadline=None)
+    def test_item_json_matches_json_dumps(self, item):
+        assert item_json(item, {}) == json.dumps(encode_item(item), **CANONICAL_DUMPS)
+
+    def test_item_json_memo_encodes_each_tuple_once(self):
+        memo = {}
+        first = item_json(("red", 3), memo)
+        assert memo == {("red", 3): first}
+        assert item_json(("red", 3), memo) is first
+
+    @given(schedule=_registry_plans())
+    @settings(max_examples=60, deadline=None)
+    def test_emitter_matches_oracle_on_registry_plans(self, schedule):
+        assert schedule_to_json(schedule, canonical=True) == canonical_json_dumps(schedule)
+        assert plan_content(schedule) == plan_content_dumps(schedule)
+
+    @given(
+        triples=st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.integers(0, 6),
+                # one writer call shares one memo: no bools beside ints
+                st.recursive(
+                    st.integers() | st.text(max_size=4),
+                    lambda inner: st.lists(inner, max_size=3).map(tuple),
+                    max_leaves=6,
+                ),
+            ),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_delivered_json_matches_oracle(self, triples):
+        params = postal(P=7, L=2)
+        assert delivered_json(params, triples) == delivered_json_dumps(params, triples)
+
+    def test_emitter_matches_oracle_on_odd_items(self):
+        from repro.schedule.ops import Schedule
+
+        items = ["é\"\\", ("t", -(2**70), ("x",)), frozenset({3, -1}), ()]
+        s = Schedule(
+            params=postal(P=3, L=2),
+            initial={0: set(items), 2: {7}},
+            source_items={items[1]: 0, items[2]: 4},
+        )
+        for i, item in enumerate(items):
+            s.add(i, 0, 1 + i % 2, item=item)
+        for drop in (False, True):
+            assert canonical_json(s, drop_time0_sources=drop) == canonical_json_dumps(
+                s, drop_time0_sources=drop
+            )
+        assert '"source_items":[[{"fs":[-1,3]},4]]' in plan_content(s)

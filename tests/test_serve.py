@@ -189,6 +189,21 @@ class TestDiskCache:
         disk.put(key, key_hash, content)
         assert disk.get(key, key_hash) == content
 
+    def test_non_utf8_blob_is_a_miss_not_a_crash(self, tmp_path):
+        req = {"collective": "broadcast", "P": 8, "L": 6, "o": 2, "g": 4}
+        first = PlanService(directory=tmp_path).plan_json(req)
+        (blob,) = (tmp_path / "blobs").glob("*.json")
+        blob.write_bytes(b"\xff\xfe garbage")
+        fresh = PlanService(directory=tmp_path)
+        assert fresh.plan_json(req) == first
+        assert fresh.planned == 1
+        assert fresh.cache.disk.stats()["corrupt_reads"] >= 1
+        # the replan rewrote the blob for the next cold start
+        assert blob.read_text() == first
+        healed = PlanService(directory=tmp_path)
+        assert healed.plan_json(req) == first
+        assert healed.planned == 0
+
     def test_garbage_index_is_a_miss_not_a_crash(self, tmp_path):
         disk = DiskCache(tmp_path)
         key, key_hash, content = self.entry()
