@@ -30,16 +30,23 @@ kitem-only, so they would not apply to the implicit workloads anyway);
 SCHED007 ranks idle gaps across each processor's complete send
 sequence, which no chunk-local view can order.
 
-Rule metadata (severity, names, message wording) is shared with
-:mod:`repro.analyze.rules`, so reports render identically to the full
-engine's; at small P the property suite pins ``rule_totals`` equal on
-every rule both engines run.
+Every rule is defined once, in :mod:`repro.analyze.rules`: the chunk
+sweep applies each :data:`~repro.analyze.rules.CHUNK_RULES` mask and
+emitter to the chunk's :class:`~repro.schedule.implicit.ChunkFacts`
+(the same functions :func:`~repro.analyze.lint_schedule` runs over a
+:class:`~repro.analyze.context.LintContext`), and the aggregate rules
+hand their closed-form facts to the shared
+:func:`~repro.analyze.rules.optimality_gap` and
+:func:`~repro.analyze.rules.coverage_diagnostic` builders.  This module
+holds no rule wording; at small P the property suite pins every
+diagnostic field and ``rule_totals`` equal on every rule both engines
+run.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -49,10 +56,14 @@ from repro.analyze.diagnostics import (
     LintReport,
 )
 from repro.analyze.engine import resolve_rules
-from repro.analyze.rules import Rule, get_rule
+from repro.analyze.rules import (
+    CHUNK_RULES,
+    Rule,
+    coverage_diagnostic,
+    optimality_gap,
+)
 from repro.registry import closed_form_bound
 from repro.registry.spec import BoundQuery
-from repro.schedule.columnar import ScheduleColumns
 from repro.schedule.implicit import (
     DEFAULT_CHUNK_SENDS,
     ChunkFacts,
@@ -67,7 +78,7 @@ __all__ = [
 ]
 
 #: Rules evaluated per streamed chunk from closed-form facts.
-PER_CHUNK_RULES = ("SCHED001", "SCHED002", "SCHED003", "SCHED004", "SCHED005")
+PER_CHUNK_RULES = tuple(CHUNK_RULES)
 
 #: Rules answered from O(1) aggregate closed forms after the stream.
 AGGREGATE_RULES = ("SCHED008", "SCHED010")
@@ -80,28 +91,17 @@ WHOLE_SCHEDULE_RULES = {
 }
 
 
-EmitFn = Callable[[ChunkFacts, int], Diagnostic]
-
-
-def _describe(cols: ScheduleColumns, index: int) -> str:
-    """Mirror ``LintContext.describe_send`` for a chunk-local index."""
-    item = cols.table.items[int(cols.items[index])]
-    return (
-        f"t={int(cols.times[index])} "
-        f"{int(cols.srcs[index])}->{int(cols.dsts[index])} "
-        f"item {item!r}"
-    )
-
-
 class _RuleTally:
     """Accumulates one rule's findings across chunks, capping emission."""
 
     def __init__(self, rule: Rule):
         self.rule = rule
+        self.mask, self.emit = CHUNK_RULES[rule.id]
         self.total = 0
         self.diagnostics: list[Diagnostic] = []
 
-    def add(self, facts: ChunkFacts, mask: np.ndarray, make: EmitFn) -> None:
+    def add(self, facts: ChunkFacts) -> None:
+        mask = self.mask(facts)
         count = int(mask.sum())
         if not count:
             return
@@ -110,101 +110,12 @@ class _RuleTally:
         if room <= 0:
             return
         for local in np.flatnonzero(mask)[:room].tolist():
-            self.diagnostics.append(make(facts, int(local)))
-
-
-def _chunk_masks(rule_id: str, facts: ChunkFacts) -> tuple[np.ndarray, EmitFn]:
-    """The violation mask for one per-chunk rule, plus its emitter."""
-    cols = facts.cols
-    if rule_id == "SCHED001":
-        mask = cols.times < facts.send_avail
-
-        def emit_causal(f: ChunkFacts, i: int) -> Diagnostic:
-            have = int(f.send_avail[i])
-            return Diagnostic(
-                rule="SCHED001",
-                severity=get_rule("SCHED001").severity,
-                message=(
-                    f"non-causal: {_describe(f.cols, i)} — the sender only "
-                    f"holds the item from t={have}"
-                ),
-                sends=(f.lo + i,),
-                data={"holds_from": have},
-                fixit=f"delay the send to t>={have}",
-            )
-
-        return mask, emit_causal
-    if rule_id == "SCHED002":
-        mask = cols.srcs == cols.dsts
-
-        def emit_self(f: ChunkFacts, i: int) -> Diagnostic:
-            return Diagnostic(
-                rule="SCHED002",
-                severity=get_rule("SCHED002").severity,
-                message=f"self-send: {_describe(f.cols, i)}",
-                sends=(f.lo + i,),
-                fixit="drop the send; a processor already holds what it sends",
-            )
-
-        return mask, emit_self
-    if rule_id == "SCHED003":
-        mask = cols.times < 0
-
-        def emit_negative(f: ChunkFacts, i: int) -> Diagnostic:
-            return Diagnostic(
-                rule="SCHED003",
-                severity=get_rule("SCHED003").severity,
-                message=(
-                    f"negative time: {_describe(f.cols, i)} starts before "
-                    f"cycle 0"
-                ),
-                sends=(f.lo + i,),
-                fixit="shift the schedule so every send starts at t>=0",
-            )
-
-        return mask, emit_negative
-    if rule_id == "SCHED004":
-        mask = facts.dst_avail <= cols.times
-
-        def emit_dead(f: ChunkFacts, i: int) -> Diagnostic:
-            first = int(f.dst_avail[i])
-            return Diagnostic(
-                rule="SCHED004",
-                severity=get_rule("SCHED004").severity,
-                message=(
-                    f"dead send: {_describe(f.cols, i)} — the destination "
-                    f"already holds the item (since t={first}), so "
-                    f"this send informs no new processor"
-                ),
-                sends=(f.lo + i,),
-                data={"held_since": first},
-                fixit="drop the send or retarget it at an uninformed processor",
-            )
-
-        return mask, emit_dead
-    assert rule_id == "SCHED005"
-    mask = facts.dst_avail < cols.arrivals
-
-    def emit_duplicate(f: ChunkFacts, i: int) -> Diagnostic:
-        first = int(f.dst_avail[i])
-        return Diagnostic(
-            rule="SCHED005",
-            severity=get_rule("SCHED005").severity,
-            message=(
-                f"duplicate delivery: {_describe(f.cols, i)} — the "
-                f"destination is already delivered this item "
-                f"(first held at t={first})"
-            ),
-            sends=(f.lo + i,),
-            data={"first_held": first},
-            fixit="each (destination, item) pair should be delivered once",
-        )
-
-    return mask, emit_duplicate
+            self.diagnostics.append(self.emit(facts, local))
 
 
 def _optimality_gap(impl: ImplicitSchedule) -> tuple[list[Diagnostic], int]:
-    """SCHED008 from closed forms (mirrors ``rules._rule_optimality_gap``)."""
+    """SCHED008 from closed forms: the same bound query the full engine
+    builds, answered for the implicit makespan."""
     participants = impl.num_participants
     if participants < 2:
         return [], 0
@@ -222,35 +133,7 @@ def _optimality_gap(impl: ImplicitSchedule) -> tuple[list[Diagnostic], int]:
             full_coverage=full_coverage,
         )
     )
-    if bound_kind is None:
-        return [], 0
-    bound, kind = bound_kind
-    makespan = impl.makespan
-    gap = makespan - bound
-    if gap == 0:
-        return [], 0
-    if gap > 0:
-        msg = (
-            f"optimality gap: completes in {makespan} cycles, "
-            f"{gap} above the {kind} lower bound of {bound}"
-        )
-        fixit = "compare against the paper's optimal construction"
-    else:
-        msg = (
-            f"impossible completion: {makespan} cycles is below the "
-            f"{kind} lower bound of {bound} — the schedule cannot be "
-            f"doing the detected workload"
-        )
-        fixit = "check the initial placement / workload detection"
-    return [
-        Diagnostic(
-            rule="SCHED008",
-            severity=get_rule("SCHED008").severity,
-            message=msg,
-            data={"makespan": makespan, "bound": bound, "gap": gap},
-            fixit=fixit,
-        )
-    ], 1
+    return optimality_gap(impl.makespan, bound_kind)
 
 
 def _coverage(impl: ImplicitSchedule) -> tuple[list[Diagnostic], int]:
@@ -261,26 +144,7 @@ def _coverage(impl: ImplicitSchedule) -> tuple[list[Diagnostic], int]:
     holders = 1 + impl.num_sends
     if holders >= participants:
         return [], 0
-    return [
-        Diagnostic(
-            rule="SCHED010",
-            severity=get_rule("SCHED010").severity,
-            message=(
-                f"incomplete coverage: item {0!r} "
-                f"reaches only {holders} of {participants} participating "
-                f"processors"
-            ),
-            data={"holders": holders, "participants": participants},
-            fixit="extend the schedule until every processor is informed",
-        )
-    ], 1
-
-
-def _applies(rule: Rule, impl: ImplicitSchedule) -> bool:
-    """Mirror ``Rule.applies`` for an implicit schedule."""
-    if impl.num_sends == 0:
-        return False
-    return not rule.workloads or impl.workload in rule.workloads
+    return [coverage_diagnostic(0, holders, participants)], 1
 
 
 def lint_implicit(
@@ -314,20 +178,21 @@ def lint_implicit(
     per_chunk = [
         _RuleTally(rule)
         for rule in chosen
-        if rule.id in PER_CHUNK_RULES and _applies(rule, impl)
+        if rule.id in PER_CHUNK_RULES
+        and rule.applies(impl.workload, impl.num_sends)
     ]
     aggregate = [
         rule
         for rule in chosen
-        if rule.id in AGGREGATE_RULES and _applies(rule, impl)
+        if rule.id in AGGREGATE_RULES
+        and rule.applies(impl.workload, impl.num_sends)
     ]
     if per_chunk:
         for lo in range(0, impl.num_sends, max_sends):
             hi = min(lo + max_sends, impl.num_sends)
             facts = impl.chunk_with_facts(lo, hi)
             for tally in per_chunk:
-                mask, make = _chunk_masks(tally.rule.id, facts)
-                tally.add(facts, mask, make)
+                tally.add(facts)
     diagnostics: list[Diagnostic] = []
     rules_run: list[str] = []
     totals: dict[str, int] = {}

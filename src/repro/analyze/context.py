@@ -31,7 +31,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.params import LogPParams
-from repro.schedule.analysis_np import availability_arrays
+from repro.schedule.analysis_np import availability_arrays, hold_times
 from repro.schedule.columnar import ScheduleColumns
 from repro.schedule.ops import Schedule
 
@@ -79,7 +79,7 @@ class LintContext:
         self._avail: (
             tuple[np.ndarray, np.ndarray, dict[Hashable, int], int] | None
         ) = None
-        self._send_avail: np.ndarray | None = None
+        self._send_avail: tuple[np.ndarray, np.ndarray] | None = None
         self._dst_first: np.ndarray | None = None
         self._replay_order: np.ndarray | None = None
         self._participants: np.ndarray | None = None
@@ -151,21 +151,6 @@ class LintContext:
                 return item
         raise KeyError(code)
 
-    def _lookup(self, pair_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First-availability time for encoded (proc, item) keys.
-
-        Returns ``(found, times)``; ``times`` is meaningless where
-        ``found`` is False (the pair never holds the item).
-        """
-        keys, times, _, _ = self.avail
-        if len(keys) == 0:
-            n = len(pair_keys)
-            return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
-        pos = np.searchsorted(keys, pair_keys)
-        pos_c = np.minimum(pos, len(keys) - 1)
-        found = keys[pos_c] == pair_keys
-        return found, np.where(found, times[pos_c], 0)
-
     @property
     def src_keys(self) -> np.ndarray:
         return self.cols.srcs * self.n_items + self.cols.items
@@ -174,21 +159,36 @@ class LintContext:
     def dst_keys(self) -> np.ndarray:
         return self.cols.dsts * self.n_items + self.cols.items
 
-    @property
-    def send_avail(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per send: (sender ever holds the item, first time it does)."""
+    # -- the send-facts view (repro.analyze.rules.SendFacts) --------------
+
+    #: Storage index of ``cols`` row 0: the whole schedule starts at 0.
+    lo = 0
+
+    def _sender_holds(self) -> tuple[np.ndarray, np.ndarray]:
         if self._send_avail is None:
-            self._send_avail = self._lookup(self.src_keys)
+            keys, times, _, _ = self.avail
+            self._send_avail = hold_times(keys, times, self.src_keys)
         return self._send_avail
 
     @property
-    def dst_first_avail(self) -> np.ndarray:
+    def send_found(self) -> np.ndarray:
+        """Per send: does the sender ever hold the item?"""
+        return self._sender_holds()[0]
+
+    @property
+    def send_avail(self) -> np.ndarray:
+        """Per send: first cycle the sender holds the item (0 if never)."""
+        return self._sender_holds()[1]
+
+    @property
+    def dst_avail(self) -> np.ndarray:
         """Per send: first cycle the *destination* holds the sent item.
 
         Always found — the send's own arrival is in the table.
         """
         if self._dst_first is None:
-            _, self._dst_first = self._lookup(self.dst_keys)
+            keys, times, _, _ = self.avail
+            _, self._dst_first = hold_times(keys, times, self.dst_keys)
         return self._dst_first
 
     @property
@@ -266,13 +266,3 @@ class LintContext:
                     minlength=len(self.cols.table.items),
                 ).astype(np.int64)
         return self._source_counts
-
-    def describe_send(self, index: int) -> str:
-        """``t=<time> <src>-><dst> item <item>`` for one storage index."""
-        cols = self.cols
-        item = cols.table.items[int(cols.items[index])]
-        return (
-            f"t={int(cols.times[index])} "
-            f"{int(cols.srcs[index])}->{int(cols.dsts[index])} "
-            f"item {item!r}"
-        )

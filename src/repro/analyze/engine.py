@@ -81,7 +81,7 @@ def lint_schedule(
     rules_run: list[str] = []
     totals: dict[str, int] = {}
     for rule in resolve_rules(select, ignore):
-        if not rule.applies(ctx):
+        if not rule.applies(ctx.workload, len(ctx)):
             continue
         emitted, total = rule.run(ctx)
         rules_run.append(rule.id)

@@ -35,6 +35,15 @@ supplied by the collective registry: the rule adapts its context into a
 :class:`~repro.registry.spec.CollectiveSpec` owning the detected
 workload answers (see :func:`repro.registry.closed_form_bound`).
 
+Each rule is defined here and nowhere else.  SCHED001-005 are a
+per-send mask plus an emitter over a :class:`SendFacts` view:
+:func:`~repro.analyze.lint_schedule` runs them over a whole schedule's
+:class:`~repro.analyze.context.LintContext`, and the chunked engine
+(:mod:`repro.analyze.chunked`) runs :data:`CHUNK_RULES` over each
+streamed chunk of an implicit plan.  SCHED008 and SCHED010 have one
+diagnostic builder each (:func:`optimality_gap`,
+:func:`coverage_diagnostic`) that both engines feed with their own facts.
+
 SCHED006 is INFO, not an error: single-sending (Section 3.4) is a
 *restricted schedule class*, so falling outside it is an observation
 about structure, not a defect.
@@ -43,7 +52,7 @@ about structure, not a defect.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Hashable, Protocol
 
 import numpy as np
 
@@ -55,10 +64,51 @@ from repro.analyze.diagnostics import (
 )
 from repro.registry import closed_form_bound
 from repro.registry.spec import BoundQuery
+from repro.schedule.columnar import ScheduleColumns
 
-__all__ = ["Rule", "RULES", "rule_ids", "get_rule"]
+__all__ = [
+    "Rule",
+    "RULES",
+    "rule_ids",
+    "get_rule",
+    "SendFacts",
+    "CHUNK_RULES",
+    "describe_send",
+    "optimality_gap",
+    "coverage_diagnostic",
+]
 
 RuleFn = Callable[[LintContext], tuple[list[Diagnostic], int]]
+
+
+class SendFacts(Protocol):
+    """The per-send facts SCHED001-005 read.
+
+    :class:`~repro.analyze.context.LintContext` is this view over a whole
+    schedule (each array derived lazily, once);
+    :class:`~repro.schedule.implicit.ChunkFacts` is the view over one
+    streamed chunk of an implicit plan, whose closed-form hold times are
+    always found.  Row ``i`` of ``cols`` is storage index ``lo + i``.
+    """
+
+    @property
+    def cols(self) -> ScheduleColumns: ...
+
+    @property
+    def lo(self) -> int: ...
+
+    @property
+    def send_found(self) -> np.ndarray: ...
+
+    @property
+    def send_avail(self) -> np.ndarray: ...
+
+    @property
+    def dst_avail(self) -> np.ndarray: ...
+
+
+MaskFn = Callable[[SendFacts], np.ndarray]
+EmitFn = Callable[[SendFacts, int], Diagnostic]
 
 
 @dataclass(frozen=True)
@@ -72,10 +122,20 @@ class Rule:
     run: RuleFn
     workloads: tuple[str, ...] = ()  # empty = applies to every workload
 
-    def applies(self, ctx: LintContext) -> bool:
-        if len(ctx) == 0:
+    def applies(self, workload: str, num_sends: int) -> bool:
+        if num_sends == 0:
             return False
-        return not self.workloads or ctx.workload in self.workloads
+        return not self.workloads or workload in self.workloads
+
+
+def describe_send(cols: ScheduleColumns, index: int) -> str:
+    """``t=<time> <src>-><dst> item <item>`` for one row of ``cols``."""
+    item = cols.table.items[int(cols.items[index])]
+    return (
+        f"t={int(cols.times[index])} "
+        f"{int(cols.srcs[index])}->{int(cols.dsts[index])} "
+        f"item {item!r}"
+    )
 
 
 def _flagged_in_replay_order(
@@ -90,105 +150,103 @@ def _flagged_in_replay_order(
     return flagged[:MAX_EMITTED_PER_RULE].tolist(), total
 
 
+def _per_send(mask: Callable[[LintContext], np.ndarray], emit: EmitFn) -> RuleFn:
+    """A whole-schedule rule: emit the masked sends in replay order."""
+
+    def run(ctx: LintContext) -> tuple[list[Diagnostic], int]:
+        indices, total = _flagged_in_replay_order(ctx, mask(ctx))
+        return [emit(ctx, i) for i in indices], total
+
+    return run
+
+
 # -- SCHED001: non-causal provenance ------------------------------------
 
 
-def _rule_non_causal(ctx: LintContext) -> tuple[list[Diagnostic], int]:
-    found, have = ctx.send_avail
-    never = ~found
-    early = found & (ctx.cols.times < have)
-    indices, total = _flagged_in_replay_order(ctx, never | early)
-    diags = []
-    for i in indices:
-        if never[i]:
-            msg = (
-                f"non-causal: {ctx.describe_send(i)} — the sender never "
-                f"holds this item"
-            )
-            fixit = "route the item to the sender first, or drop the send"
-        else:
-            msg = (
-                f"non-causal: {ctx.describe_send(i)} — the sender only "
-                f"holds the item from t={int(have[i])}"
-            )
-            fixit = f"delay the send to t>={int(have[i])}"
-        diags.append(
-            Diagnostic(
-                rule="SCHED001",
-                severity=Severity.ERROR,
-                message=msg,
-                sends=(i,),
-                data={"holds_from": None if never[i] else int(have[i])},
-                fixit=fixit,
-            )
-        )
-    return diags, total
+def _non_causal_mask(f: SendFacts) -> np.ndarray:
+    return ~f.send_found | (f.cols.times < f.send_avail)
+
+
+def _emit_non_causal(f: SendFacts, i: int) -> Diagnostic:
+    if f.send_found[i]:
+        have: int | None = int(f.send_avail[i])
+        detail = f"the sender only holds the item from t={have}"
+        fixit = f"delay the send to t>={have}"
+    else:
+        have = None
+        detail = "the sender never holds this item"
+        fixit = "route the item to the sender first, or drop the send"
+    return Diagnostic(
+        rule="SCHED001",
+        severity=Severity.ERROR,
+        message=f"non-causal: {describe_send(f.cols, i)} — {detail}",
+        sends=(f.lo + i,),
+        data={"holds_from": have},
+        fixit=fixit,
+    )
 
 
 # -- SCHED002: self-send -------------------------------------------------
 
 
-def _rule_self_send(ctx: LintContext) -> tuple[list[Diagnostic], int]:
-    indices, total = _flagged_in_replay_order(
-        ctx, ctx.cols.srcs == ctx.cols.dsts
+def _self_send_mask(f: SendFacts) -> np.ndarray:
+    return f.cols.srcs == f.cols.dsts
+
+
+def _emit_self_send(f: SendFacts, i: int) -> Diagnostic:
+    return Diagnostic(
+        rule="SCHED002",
+        severity=Severity.ERROR,
+        message=f"self-send: {describe_send(f.cols, i)}",
+        sends=(f.lo + i,),
+        fixit="drop the send; a processor already holds what it sends",
     )
-    return [
-        Diagnostic(
-            rule="SCHED002",
-            severity=Severity.ERROR,
-            message=f"self-send: {ctx.describe_send(i)}",
-            sends=(i,),
-            fixit="drop the send; a processor already holds what it sends",
-        )
-        for i in indices
-    ], total
 
 
 # -- SCHED003: negative time ---------------------------------------------
 
 
-def _rule_negative_time(ctx: LintContext) -> tuple[list[Diagnostic], int]:
-    indices, total = _flagged_in_replay_order(ctx, ctx.cols.times < 0)
-    return [
-        Diagnostic(
-            rule="SCHED003",
-            severity=Severity.ERROR,
-            message=f"negative time: {ctx.describe_send(i)} starts before cycle 0",
-            sends=(i,),
-            fixit="shift the schedule so every send starts at t>=0",
-        )
-        for i in indices
-    ], total
+def _negative_time_mask(f: SendFacts) -> np.ndarray:
+    return f.cols.times < 0
+
+
+def _emit_negative_time(f: SendFacts, i: int) -> Diagnostic:
+    return Diagnostic(
+        rule="SCHED003",
+        severity=Severity.ERROR,
+        message=f"negative time: {describe_send(f.cols, i)} starts before cycle 0",
+        sends=(f.lo + i,),
+        fixit="shift the schedule so every send starts at t>=0",
+    )
 
 
 # -- SCHED004: dead sends ------------------------------------------------
 
 
-def _rule_dead_send(ctx: LintContext) -> tuple[list[Diagnostic], int]:
-    first = ctx.dst_first_avail
-    dead = first <= ctx.cols.times
-    indices, total = _flagged_in_replay_order(ctx, dead)
-    return [
-        Diagnostic(
-            rule="SCHED004",
-            severity=Severity.WARNING,
-            message=(
-                f"dead send: {ctx.describe_send(i)} — the destination "
-                f"already holds the item (since t={int(first[i])}), so "
-                f"this send informs no new processor"
-            ),
-            sends=(i,),
-            data={"held_since": int(first[i])},
-            fixit="drop the send or retarget it at an uninformed processor",
-        )
-        for i in indices
-    ], total
+def _dead_send_mask(f: SendFacts) -> np.ndarray:
+    return f.dst_avail <= f.cols.times
+
+
+def _emit_dead_send(f: SendFacts, i: int) -> Diagnostic:
+    first = int(f.dst_avail[i])
+    return Diagnostic(
+        rule="SCHED004",
+        severity=Severity.WARNING,
+        message=(
+            f"dead send: {describe_send(f.cols, i)} — the destination "
+            f"already holds the item (since t={first}), so "
+            f"this send informs no new processor"
+        ),
+        sends=(f.lo + i,),
+        data={"held_since": first},
+        fixit="drop the send or retarget it at an uninformed processor",
+    )
 
 
 # -- SCHED005: duplicate delivery ----------------------------------------
 
 
-def _rule_duplicate_delivery(ctx: LintContext) -> tuple[list[Diagnostic], int]:
+def _duplicate_mask(ctx: LintContext) -> np.ndarray:
     n = len(ctx)
     keys = ctx.dst_keys
     # within each (dst, item) group the earliest arrival (ties: storage
@@ -203,23 +261,42 @@ def _rule_duplicate_delivery(ctx: LintContext) -> tuple[list[Diagnostic], int]:
     dup[order] = later_copy_sorted
     if len(ctx.initial_keys):
         dup |= np.isin(keys, ctx.initial_keys)
-    indices, total = _flagged_in_replay_order(ctx, dup)
-    first = ctx.dst_first_avail
-    return [
-        Diagnostic(
-            rule="SCHED005",
-            severity=Severity.WARNING,
-            message=(
-                f"duplicate delivery: {ctx.describe_send(i)} — the "
-                f"destination is already delivered this item "
-                f"(first held at t={int(first[i])})"
-            ),
-            sends=(i,),
-            data={"first_held": int(first[i])},
-            fixit="each (destination, item) pair should be delivered once",
-        )
-        for i in indices
-    ], total
+    return dup
+
+
+def _duplicate_chunk_mask(f: SendFacts) -> np.ndarray:
+    # a chunk sees no other delivery, but the closed form knows when the
+    # destination first holds the item: any later arrival is a copy
+    return f.dst_avail < f.cols.arrivals
+
+
+def _emit_duplicate(f: SendFacts, i: int) -> Diagnostic:
+    first = int(f.dst_avail[i])
+    return Diagnostic(
+        rule="SCHED005",
+        severity=Severity.WARNING,
+        message=(
+            f"duplicate delivery: {describe_send(f.cols, i)} — the "
+            f"destination is already delivered this item "
+            f"(first held at t={first})"
+        ),
+        sends=(f.lo + i,),
+        data={"first_held": first},
+        fixit="each (destination, item) pair should be delivered once",
+    )
+
+
+#: The per-send rules one streamed chunk decides alone: rule id ->
+#: (mask, emitter) over a :class:`SendFacts` view.  SCHED001-004 share
+#: their mask with the whole-schedule rule; SCHED005 swaps the grouped
+#: duplicate scan for the closed-form first hold.
+CHUNK_RULES: dict[str, tuple[MaskFn, EmitFn]] = {
+    "SCHED001": (_non_causal_mask, _emit_non_causal),
+    "SCHED002": (_self_send_mask, _emit_self_send),
+    "SCHED003": (_negative_time_mask, _emit_negative_time),
+    "SCHED004": (_dead_send_mask, _emit_dead_send),
+    "SCHED005": (_duplicate_chunk_mask, _emit_duplicate),
+}
 
 
 # -- SCHED006: single-sending violations ---------------------------------
@@ -262,10 +339,11 @@ def _rule_idle_slack(ctx: LintContext) -> tuple[list[Diagnostic], int]:
     n = len(ctx)
     g = ctx.params.g
     start = ctx.start_time
-    found, have = ctx.send_avail
     # earliest legal start per send: the item is in hand, the schedule
     # has begun, and the sender's previous send is >= g behind
-    earliest = np.maximum(np.where(found, have, cols.times), start)
+    earliest = np.maximum(
+        np.where(ctx.send_found, ctx.send_avail, cols.times), start
+    )
     order = np.lexsort((cols.times, cols.srcs))
     t_sorted = cols.times[order]
     same_src = cols.srcs[order][1:] == cols.srcs[order][:-1]
@@ -287,7 +365,7 @@ def _rule_idle_slack(ctx: LintContext) -> tuple[list[Diagnostic], int]:
                 f"idle slack: {flagged} of {n} sends start later than the "
                 f"earliest-start critical path allows "
                 f"(total {int(slack.sum())} idle cycles, worst "
-                f"{int(slack[worst[0]])} at {ctx.describe_send(int(worst[0]))})"
+                f"{int(slack[worst[0]])} at {describe_send(cols, int(worst[0]))})"
             ),
             sends=tuple(worst.tolist()),
             data={
@@ -338,12 +416,16 @@ def _optimality_bound(ctx: LintContext) -> tuple[int, str] | None:
     )
 
 
-def _rule_optimality_gap(ctx: LintContext) -> tuple[list[Diagnostic], int]:
-    bound_kind = _optimality_bound(ctx)
+def optimality_gap(
+    makespan: int, bound_kind: tuple[int, str] | None
+) -> tuple[list[Diagnostic], int]:
+    """SCHED008 for one makespan against its closed-form ``(bound, kind)``.
+
+    Silent when no bound applies (``None``) or the bound is met.
+    """
     if bound_kind is None:
         return [], 0
     bound, kind = bound_kind
-    makespan = ctx.makespan
     gap = makespan - bound
     if gap == 0:
         return [], 0
@@ -369,6 +451,10 @@ def _rule_optimality_gap(ctx: LintContext) -> tuple[list[Diagnostic], int]:
             fixit=fixit,
         )
     ], 1
+
+
+def _rule_optimality_gap(ctx: LintContext) -> tuple[list[Diagnostic], int]:
+    return optimality_gap(ctx.makespan, _optimality_bound(ctx))
 
 
 # -- SCHED009: Theorem 3.2 endgame structure -----------------------------
@@ -406,7 +492,7 @@ def _rule_endgame_structure(ctx: LintContext) -> tuple[list[Diagnostic], int]:
             message=(
                 f"endgame structure: the source's first {k} sends carry "
                 f"only {distinct} distinct items (repeat at "
-                f"{ctx.describe_send(i)}); Theorem 3.2's continuous phase "
+                f"{describe_send(cols, i)}); Theorem 3.2's continuous phase "
                 f"sends all {k} items before any repeat"
             ),
             sends=(i,),
@@ -418,25 +504,31 @@ def _rule_endgame_structure(ctx: LintContext) -> tuple[list[Diagnostic], int]:
 # -- SCHED010: coverage --------------------------------------------------
 
 
+def coverage_diagnostic(
+    item: Hashable, holders: int, participants: int
+) -> Diagnostic:
+    """SCHED010 for one item that reaches too few processors."""
+    return Diagnostic(
+        rule="SCHED010",
+        severity=Severity.WARNING,
+        message=(
+            f"incomplete coverage: item {item!r} "
+            f"reaches only {holders} of {participants} participating "
+            f"processors"
+        ),
+        data={"holders": holders, "participants": participants},
+        fixit="extend the schedule until every processor is informed",
+    )
+
+
 def _rule_coverage(ctx: LintContext) -> tuple[list[Diagnostic], int]:
     holders = ctx.holders_per_item
     P = len(ctx.participants)
     missing = np.flatnonzero(holders < P)
-    total = len(missing)
     return [
-        Diagnostic(
-            rule="SCHED010",
-            severity=Severity.WARNING,
-            message=(
-                f"incomplete coverage: item {ctx.item_of(int(code))!r} "
-                f"reaches only {int(holders[code])} of {P} participating "
-                f"processors"
-            ),
-            data={"holders": int(holders[code]), "participants": P},
-            fixit="extend the schedule until every processor is informed",
-        )
+        coverage_diagnostic(ctx.item_of(code), int(holders[code]), P)
         for code in missing[:MAX_EMITTED_PER_RULE].tolist()
-    ], total
+    ], len(missing)
 
 
 RULES: tuple[Rule, ...] = (
@@ -445,35 +537,35 @@ RULES: tuple[Rule, ...] = (
         name="non-causal",
         severity=Severity.ERROR,
         summary="a processor sends an item before (or without ever) holding it",
-        run=_rule_non_causal,
+        run=_per_send(_non_causal_mask, _emit_non_causal),
     ),
     Rule(
         id="SCHED002",
         name="self-send",
         severity=Severity.ERROR,
         summary="a processor sends a message to itself",
-        run=_rule_self_send,
+        run=_per_send(_self_send_mask, _emit_self_send),
     ),
     Rule(
         id="SCHED003",
         name="negative-time",
         severity=Severity.ERROR,
         summary="a send starts before cycle 0",
-        run=_rule_negative_time,
+        run=_per_send(_negative_time_mask, _emit_negative_time),
     ),
     Rule(
         id="SCHED004",
         name="dead-send",
         severity=Severity.WARNING,
         summary="a send whose destination already holds the item",
-        run=_rule_dead_send,
+        run=_per_send(_dead_send_mask, _emit_dead_send),
     ),
     Rule(
         id="SCHED005",
         name="duplicate-delivery",
         severity=Severity.WARNING,
         summary="a (destination, item) pair is delivered more than once",
-        run=_rule_duplicate_delivery,
+        run=_per_send(_duplicate_mask, _emit_duplicate),
     ),
     Rule(
         id="SCHED006",

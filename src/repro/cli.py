@@ -74,7 +74,7 @@ from repro.core.fib import kitem_lower_bound
 from repro.core.kitem.bounds import kitem_upper_bound, single_sending_lower_bound
 from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
-from repro.core.summation.capacity import min_summation_time, operand_distribution
+from repro.core.summation.capacity import min_summation_time
 from repro.core.summation.schedule import summation_schedule, verify_summation
 from repro.core.tree import optimal_tree
 from repro.params import LogPParams, postal
@@ -227,11 +227,14 @@ def cmd_plan_kitem(args: argparse.Namespace) -> int:
 
 def cmd_plan_sum(args: argparse.Namespace) -> int:
     machine = _machine(args)
-    if args.t is not None:
-        t = args.t
-    else:
-        t = min_summation_time(args.n, machine)
-    plan = summation_schedule(t, machine)
+    spec = registry.get_spec("summation")
+    try:
+        if spec.check_machine is not None:
+            spec.check_machine(machine)
+        t = args.t if args.t is not None else min_summation_time(args.n, machine)
+        plan = summation_schedule(t, machine)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     total = verify_summation(plan)
     replay(plan.to_schedule())
     print(

@@ -299,7 +299,7 @@ def prune_dead_sends_columns(schedule: Schedule) -> tuple[Schedule, int]:
     from repro.analyze.context import LintContext
 
     cols = schedule.columns()
-    alive = LintContext(schedule).dst_first_avail > cols.times
+    alive = LintContext(schedule).dst_avail > cols.times
     removed = int(len(cols) - int(alive.sum()))
     return (
         Schedule.from_arrays(

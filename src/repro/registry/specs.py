@@ -171,6 +171,19 @@ def _a2a_lint_bound(q: BoundQuery) -> tuple[int, str] | None:
 # -- summation (Section 5, Lemma 5.1 / Figure 6) -------------------------
 
 
+def _check_summation_machine(params: LogPParams) -> None:
+    _require_processors("summation", params, 1)
+    if params.P >= 2 and params.o >= params.g:
+        # each reception plus its add blocks o+1 cycles and receptions
+        # come g apart, so at o == g those windows overlap and fewer
+        # cycles are blocked than Lemma 5.1's S - (o+1)k counts
+        raise ValueError(
+            f"summation: Lemma 5.1 assumes g > o (each reception's o+1 "
+            f"receive-and-add cycles fit in its gap), got o={params.o}, "
+            f"g={params.g}"
+        )
+
+
 def _normalize_summation(
     params: LogPParams, extra: dict[str, Any]
 ) -> dict[str, Any]:
@@ -436,7 +449,7 @@ SPECS: tuple[CollectiveSpec, ...] = (
             ParamField("n", "number of operands", required=False, minimum=1),
             ParamField("t", "time budget in cycles", required=False, minimum=0),
         ),
-        check_machine=lambda p: _require_processors("summation", p, 1),
+        check_machine=_check_summation_machine,
         normalize_extra=_normalize_summation,
         lower_bound=_summation_lower_bound,
         tight=_summation_tight,

@@ -26,6 +26,7 @@ __all__ = [
     "ScheduleColumns",
     "columns",
     "availability_arrays",
+    "hold_times",
     "availability_np",
     "item_completion_times_np",
     "broadcast_delay_np",
@@ -51,7 +52,7 @@ def availability_arrays(
     array of encoded ``proc * n_items + item_id`` keys, ``times[i]`` is the
     earliest cycle that (proc, item) pair holds the item, and ``item_ids``
     extends ``cols.item_ids`` with any items that appear only in the
-    initial placement.  Consumers look up pairs with ``np.searchsorted``.
+    initial placement.  Consumers look up pairs with :func:`hold_times`.
     """
     if cols is None:
         cols = columns(schedule)
@@ -77,6 +78,23 @@ def availability_arrays(
     sk, sv = keys[order], vals[order]
     starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
     return sk[starts], np.minimum.reduceat(sv, starts), item_ids, n_items
+
+
+def hold_times(
+    keys: np.ndarray, times: np.ndarray, pair_keys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First-hold time of encoded ``(proc, item)`` pairs.
+
+    ``keys``/``times`` are the sorted table of
+    :func:`availability_arrays`.  Returns ``(found, have)``; ``have`` is
+    0 where ``found`` is False (the pair never holds the item).
+    """
+    if len(keys) == 0:
+        n = len(pair_keys)
+        return np.zeros(n, dtype=bool), np.zeros(n, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(keys, pair_keys), len(keys) - 1)
+    found = keys[pos] == pair_keys
+    return found, np.where(found, times[pos], 0)
 
 
 def _id_to_item(item_ids: dict[Hashable, int]) -> list[Hashable]:

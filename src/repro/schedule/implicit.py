@@ -364,7 +364,8 @@ class ChunkFacts:
     ``send_avail[i]`` / ``dst_avail[i]`` are the cycles the edge's sender
     / destination first hold the transported item — by *closed form*, not
     by scanning other chunks, which is exactly what makes SCHED001-005
-    (and the causality half of the validator) chunk-local.
+    (and the causality half of the validator) chunk-local.  This is the
+    per-chunk :class:`repro.analyze.rules.SendFacts` view.
     """
 
     lo: int
@@ -372,6 +373,11 @@ class ChunkFacts:
     cols: ScheduleColumns
     send_avail: np.ndarray
     dst_avail: np.ndarray
+
+    @property
+    def send_found(self) -> np.ndarray:
+        """Every sender holds its item: the closed forms always find it."""
+        return np.ones(len(self.cols), dtype=bool)
 
 
 class ImplicitSchedule:

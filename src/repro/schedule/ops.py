@@ -18,9 +18,9 @@ Two storage modes back the same interface:
   difference; vectorized consumers read :meth:`Schedule.columns` and
   never pay for the objects.
 
-``columns()``, ``sorted_sends()`` and ``sends_by_proc()`` are cached and
-invalidated on :meth:`add`/:meth:`extend` (or when the send count
-changes), so repeated validate/analyze calls stop re-deriving them.
+``columns()`` and ``sorted_sends()`` are cached and invalidated on
+:meth:`add`/:meth:`extend` (or when the send count changes), so
+repeated validate/analyze calls stop re-deriving them.
 
 Timing convention (integer cycles):
 
@@ -146,7 +146,6 @@ class Schedule:
         )
         self._columns: ScheduleColumns | None = None
         self._sorted: list[SendOp] | None = None
-        self._by_proc: dict[int, list[SendOp]] | None = None
 
     @classmethod
     def from_arrays(
@@ -240,7 +239,6 @@ class Schedule:
         if self._sends is not None:
             self._columns = None
         self._sorted = None
-        self._by_proc = None
 
     # -- mutation --------------------------------------------------------
 
@@ -261,27 +259,6 @@ class Schedule:
         if self._sorted is None or len(self._sorted) != self.num_sends:
             self._sorted = sorted(self.sends, key=_chronological)
         return self._sorted
-
-    def sends_by_proc(self) -> dict[int, list[SendOp]]:
-        """Map processor -> its outgoing sends in chronological order
-        (cached; treat as read-only)."""
-        if self._by_proc is None or sum(
-            len(ops) for ops in self._by_proc.values()
-        ) != self.num_sends:
-            out: dict[int, list[SendOp]] = {}
-            for op in self.sorted_sends():
-                out.setdefault(op.src, []).append(op)
-            self._by_proc = out
-        return self._by_proc
-
-    def receives_by_proc(self) -> dict[int, list[SendOp]]:
-        """Map processor -> incoming sends ordered by receive time."""
-        incoming: dict[int, list[SendOp]] = {}
-        for op in self.sends:
-            incoming.setdefault(op.dst, []).append(op)
-        for ops in incoming.values():
-            ops.sort(key=lambda op: (op.receive_start(self.params), op.src))
-        return incoming
 
     # -- queries ---------------------------------------------------------
 

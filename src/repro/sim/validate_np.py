@@ -29,6 +29,7 @@ from repro.schedule.analysis_np import (
     ScheduleColumns,
     availability_arrays,
     columns,
+    hold_times,
 )
 from repro.schedule.implicit import DEFAULT_CHUNK_SENDS, ImplicitSchedule
 from repro.schedule.ops import Schedule
@@ -77,12 +78,9 @@ def _causality(
     schedule: Schedule, cols: ScheduleColumns, problems: list[str]
 ) -> None:
     avail_keys, avail_times, _, n_items = availability_arrays(schedule, cols)
-    # look up availability of (src, item) for every send
-    send_keys = cols.srcs * n_items + cols.items
-    pos = np.searchsorted(avail_keys, send_keys)
-    pos_c = np.minimum(pos, len(avail_keys) - 1)
-    found = (len(avail_keys) > 0) & (avail_keys[pos_c] == send_keys)
-    have = np.where(found, avail_times[pos_c], 0)
+    found, have = hold_times(
+        avail_keys, avail_times, cols.srcs * n_items + cols.items
+    )
     _format_causality(cols, have, found & (cols.times < have), ~found, problems)
 
 

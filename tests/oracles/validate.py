@@ -8,9 +8,27 @@ the kernel's violation strings, as a multiset.
 
 from __future__ import annotations
 
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 
 from tests.oracles.analysis import availability_objects
+
+
+def sends_by_proc(schedule: Schedule) -> dict[int, list[SendOp]]:
+    """Map processor -> its outgoing sends in chronological order."""
+    out: dict[int, list[SendOp]] = {}
+    for op in schedule.sorted_sends():
+        out.setdefault(op.src, []).append(op)
+    return out
+
+
+def receives_by_proc(schedule: Schedule) -> dict[int, list[SendOp]]:
+    """Map processor -> incoming sends ordered by receive time."""
+    incoming: dict[int, list[SendOp]] = {}
+    for op in schedule.sends:
+        incoming.setdefault(op.dst, []).append(op)
+    for ops in incoming.values():
+        ops.sort(key=lambda op: (op.receive_start(schedule.params), op.src))
+    return incoming
 
 
 def _interval_overlap(a0: int, a1: int, b0: int, b1: int) -> bool:
@@ -41,7 +59,7 @@ def violations_objects(schedule: Schedule, check_capacity: bool = True) -> list[
             problems.append(f"self-send: proc {op.src} at t={op.time}")
 
     # Gap between consecutive sends at one processor.
-    for proc, ops in schedule.sends_by_proc().items():
+    for proc, ops in sends_by_proc(schedule).items():
         for prev, cur in zip(ops, ops[1:]):
             if cur.time - prev.time < params.g:
                 problems.append(
@@ -50,7 +68,7 @@ def violations_objects(schedule: Schedule, check_capacity: bool = True) -> list[
                 )
 
     # Gap between consecutive receives at one processor.
-    for proc, ops in schedule.receives_by_proc().items():
+    for proc, ops in receives_by_proc(schedule).items():
         starts = [op.receive_start(params) for op in ops]
         for prev, cur in zip(starts, starts[1:]):
             if cur - prev < params.g:

@@ -217,10 +217,10 @@ class TestScheduleCaches:
 
     def test_extend_invalidates(self):
         s = self._sched()
-        by = s.sends_by_proc()
-        assert by is s.sends_by_proc()
+        first = s.sorted_sends()
+        assert first is s.sorted_sends()
         s.extend([SendOp(9, 1, 2)])
-        assert [op.time for op in s.sends_by_proc()[1]] == [9]
+        assert [op.time for op in s.sorted_sends() if op.src == 1] == [9]
 
     def test_sends_setter_invalidates(self):
         s = self._sched()

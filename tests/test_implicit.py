@@ -304,6 +304,15 @@ class TestRegistryStorage:
             registry.plan("broadcast", FIG1, storage="implicit", family="fft")
 
 
+def _diagnostic_dicts(report, rules):
+    """Every field of ``report``'s diagnostics from ``rules``, in a
+    stable order."""
+    return sorted(
+        (d.to_dict() for d in report.diagnostics if d.rule in rules),
+        key=lambda d: (d["rule"], d["sends"], d["message"]),
+    )
+
+
 class TestChunkedLint:
     def test_rule_split_is_total(self):
         from repro.analyze import rule_ids
@@ -342,16 +351,14 @@ class TestChunkedLint:
                 assert (
                     chunked.rule_totals[rule_id] == full.rule_totals[rule_id]
                 ), rule_id
-        # per-chunk messages must be byte-identical; SCHED008's numbers
+        # every diagnostic field must be identical; SCHED008's numbers
         # legitimately differ here — this family breaks the "earliest
         # send at cycle 0" contract, so the implicit (nominal) makespan
         # and the realized one disagree
-        ours = sorted(
-            d.message for d in chunked.diagnostics if d.rule in PER_CHUNK_RULES
-        )
-        theirs = sorted(
-            d.message for d in full.diagnostics if d.rule in PER_CHUNK_RULES
-        )
+        shared = set(chunked.rules_run) - {"SCHED008"}
+        assert set(PER_CHUNK_RULES) <= shared
+        ours = _diagnostic_dicts(chunked, shared)
+        theirs = _diagnostic_dicts(full, shared)
         assert ours == theirs
 
     def test_selecting_whole_schedule_rule_raises(self):

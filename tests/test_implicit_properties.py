@@ -161,13 +161,14 @@ class TestLintAgreement:
                 assert (
                     chunked.rule_totals[rule_id] == full.rule_totals[rule_id]
                 ), rule_id
-        ours = sorted(d.message for d in chunked.diagnostics)
-        theirs = sorted(
-            d.message
-            for d in full.diagnostics
-            if d.rule in chunked.rule_totals
-        )
-        assert ours == theirs
+        # every field (severity, sends, data, fixit), not only the text
+        def fields(diagnostics):
+            return sorted(
+                (d.to_dict() for d in diagnostics if d.rule in chunked.rule_totals),
+                key=lambda d: (d["rule"], d["sends"], d["message"]),
+            )
+
+        assert fields(chunked.diagnostics) == fields(full.diagnostics)
 
 
 class TestRunTableAgainstOracle:

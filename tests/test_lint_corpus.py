@@ -11,6 +11,7 @@ The files are byte-stable (the serializer sorts every ambient order),
 so ``git diff`` on this directory is always meaningful.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +25,12 @@ EXPECTED = json.loads((CORPUS / "expected.json").read_text())
 
 # defects the corpus plants, by the rule that must catch them
 ERROR_CASES = {"non_causal", "self_send", "negative_time", "uncovered"}
+
+# sha-256 over every corpus schedule's diagnostics (``to_dict`` JSON, one
+# line per schedule in name order): pins wording, data and fix-its
+DIAGNOSTICS_DIGEST = (
+    "d1748de99b1aa3e95facd750ad6fbdcdf75c29167179d0c9bed2310de9924268"
+)
 
 
 def corpus_names():
@@ -44,6 +51,15 @@ def test_every_rule_is_exercised_by_some_corpus_schedule():
 def test_pinned_rule_ids(name):
     report = lint_schedule(load_schedule(CORPUS / f"{name}.json"))
     assert report.rule_ids() == EXPECTED[name]
+
+
+def test_diagnostics_are_byte_pinned():
+    h = hashlib.sha256()
+    for name in corpus_names():
+        report = lint_schedule(load_schedule(CORPUS / f"{name}.json"))
+        rows = [d.to_dict() for d in report.diagnostics]
+        h.update(json.dumps(rows, sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == DIAGNOSTICS_DIGEST
 
 
 @pytest.mark.parametrize("name", corpus_names())

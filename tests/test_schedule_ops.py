@@ -4,6 +4,7 @@ import pytest
 
 from repro.params import LogPParams, postal
 from repro.schedule.ops import ComputeOp, Schedule, SendOp
+from tests.oracles.validate import receives_by_proc, sends_by_proc
 
 
 class TestSendOp:
@@ -46,7 +47,7 @@ class TestSchedule:
         s.add(4, 0, 1)
         s.add(0, 0, 2)
         s.add(1, 1, 2)
-        by = s.sends_by_proc()
+        by = sends_by_proc(s)
         assert [op.time for op in by[0]] == [0, 4]
         assert [op.time for op in by[1]] == [1]
 
@@ -54,7 +55,7 @@ class TestSchedule:
         s = Schedule(params=postal(P=3, L=5))
         s.add(3, 0, 2)
         s.add(0, 1, 2)
-        by = s.receives_by_proc()
+        by = receives_by_proc(s)
         assert [op.src for op in by[2]] == [1, 0]
 
     def test_items_and_processors(self):

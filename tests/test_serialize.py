@@ -143,17 +143,14 @@ def _registry_plans(draw):
     kwargs = {"P": draw(st.integers(2, 24)), "L": draw(st.integers(1, 6))}
     if name not in _POSTAL:
         kwargs["g"] = draw(st.integers(1, 4))
-        # summation at o == g > 0 trips an internal assertion of the
-        # builder instead of a domain error, so it draws o < g
-        top = kwargs["g"] - (name == "summation")
-        kwargs["o"] = draw(st.integers(0, top))
+        kwargs["o"] = draw(st.integers(0, kwargs["g"]))
     if name in ("kitem", "continuous"):
         kwargs["k"] = draw(st.integers(1, 5))
     if name == "summation":
         kwargs["n"] = draw(st.integers(kwargs["P"], 60))
     try:
         return registry.plan(name, **kwargs)
-    except ValueError:  # outside the collective's domain (e.g. continuous P)
+    except ValueError:  # outside the domain (continuous P, summation at o == g)
         reject()
 
 

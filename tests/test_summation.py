@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import registry
+from repro.cli import main
 from repro.core.summation.capacity import (
     min_summation_time,
     operand_distribution,
@@ -128,3 +130,21 @@ class TestSchedule:
             if S > 0:
                 lo, hi = spans[node.index]
                 assert hi == S  # last computation ends exactly at the send
+
+
+class TestLemma51Domain:
+    """Each reception plus its add blocks ``o + 1`` cycles, receptions
+    come ``g`` apart: at ``o == g > 0`` the windows overlap, so Lemma
+    5.1's ``S - (o+1)k`` count no longer holds and the spec refuses."""
+
+    def test_o_equal_g_fails_with_one_line_value_error(self, capsys):
+        with pytest.raises(ValueError, match=r"^summation: Lemma 5\.1 assumes g > o"):
+            registry.plan("summation", P=3, L=1, o=1, g=1, n=10)
+        machine = ["--P", "3", "--L", "1", "--o", "1", "--g", "1", "--n", "10"]
+        for argv in (["plan", "summation", *machine], ["plan-sum", *machine]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("repro: error: summation: Lemma 5.1"), argv
+            assert err.count("\n") == 1, err
+        # a lone processor sends nothing, so o == g stays in its domain
+        assert registry.plan("summation", P=1, L=1, o=1, g=1, n=10).num_sends == 0
