@@ -29,12 +29,13 @@ lint:
 				-P 1000000 -L 4 --o 1 --g 2 --family $$f || exit 1; \
 		done; \
 	done
-	@for f in tests/data/lint_corpus/*.json; do \
+	@out=$$(mktemp) || exit 1; trap 'rm -f "$$out"' EXIT; \
+	for f in tests/data/lint_corpus/*.json; do \
 		case $$f in */expected.json) continue;; esac; \
 		echo "== opt canonicalize $$f"; \
 		PYTHONPATH=src $(PY) -m repro.cli opt $$f --pipeline canonicalize \
-			--verify-each --fail-on never --out /tmp/repro_opt_out.json || exit 1; \
-		cmp /tmp/repro_opt_out.json $$f || exit 1; \
+			--verify-each --fail-on never --out "$$out" || exit 1; \
+		cmp "$$out" $$f || exit 1; \
 	done
 	@if $(PY) -m ruff --version >/dev/null 2>&1; then \
 		$(PY) -m ruff check src tests || exit 1; \

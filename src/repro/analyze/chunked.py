@@ -92,25 +92,45 @@ WHOLE_SCHEDULE_RULES = {
 
 
 class _RuleTally:
-    """Accumulates one rule's findings across chunks, capping emission."""
+    """Accumulates one rule's findings across chunks, keeping the
+    ``MAX_EMITTED_PER_RULE`` earliest in replay order.
+
+    :func:`~repro.analyze.lint_schedule` emits a rule's first flagged
+    sends in replay order ``(time, src, dst)``, storage index breaking
+    ties; chunks stream in destination-rank order, so each chunk's
+    earliest flagged sends merge into a shortlist that never outgrows
+    the cap.
+    """
 
     def __init__(self, rule: Rule):
         self.rule = rule
         self.mask, self.emit = CHUNK_RULES[rule.id]
         self.total = 0
-        self.diagnostics: list[Diagnostic] = []
+        self._kept: list[tuple[tuple[int, int, int, int], Diagnostic]] = []
+
+    @property
+    def diagnostics(self) -> list[Diagnostic]:
+        return [diagnostic for _, diagnostic in self._kept]
 
     def add(self, facts: ChunkFacts) -> None:
-        mask = self.mask(facts)
-        count = int(mask.sum())
-        if not count:
+        flagged = np.flatnonzero(self.mask(facts))
+        if not len(flagged):
             return
-        self.total += count
-        room = MAX_EMITTED_PER_RULE - len(self.diagnostics)
-        if room <= 0:
-            return
-        for local in np.flatnonzero(mask)[:room].tolist():
-            self.diagnostics.append(self.emit(facts, local))
+        self.total += len(flagged)
+        times = facts.cols.times[flagged]
+        srcs = facts.cols.srcs[flagged]
+        dsts = facts.cols.dsts[flagged]
+        # lexsort is stable and flagged ascends: storage order breaks ties
+        earliest = np.lexsort((dsts, srcs, times))[:MAX_EMITTED_PER_RULE]
+        worst = self._kept[-1][0] if len(self._kept) == MAX_EMITTED_PER_RULE else None
+        for at in earliest.tolist():
+            local = int(flagged[at])
+            key = (int(times[at]), int(srcs[at]), int(dsts[at]), facts.lo + local)
+            if worst is not None and key >= worst:
+                break
+            self._kept.append((key, self.emit(facts, local)))
+        self._kept.sort(key=lambda entry: entry[0])
+        del self._kept[MAX_EMITTED_PER_RULE:]
 
 
 def _optimality_gap(impl: ImplicitSchedule) -> tuple[list[Diagnostic], int]:

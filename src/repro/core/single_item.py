@@ -22,6 +22,7 @@ from repro.schedule.ops import Schedule
 
 __all__ = [
     "schedule_from_tree",
+    "optimal_broadcast_sends",
     "optimal_broadcast_schedule",
     "optimal_broadcast_time",
 ]
@@ -90,19 +91,31 @@ def schedule_from_tree(
     )
 
 
-def optimal_broadcast_schedule(params: LogPParams) -> Schedule:
-    """The optimal single-item broadcast schedule ``B(P)`` (Theorem 2.1).
+def optimal_broadcast_sends(
+    params: LogPParams,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(times, srcs, dsts, informs)`` of the optimal broadcast's sends.
 
-    :class:`~repro.schedule.implicit.OptimalTreeFamily`'s run table,
-    stored sender-major like :func:`schedule_from_tree`'s output.
+    The send columns are read off
+    :class:`~repro.schedule.implicit.OptimalTreeFamily`'s run table and
+    stored sender-major like :func:`schedule_from_tree`'s output;
+    ``informs[r]`` is the cycle rank ``r`` first holds the item.
+    Callers that only need the columns skip building a
+    :class:`Schedule`.
     """
     delays, parents = OptimalTreeFamily(params).rank_table()
     order = parents[1:].argsort(kind="stable") + 1
+    return delays[order] - params.send_cost, parents[order], order, delays
+
+
+def optimal_broadcast_schedule(params: LogPParams) -> Schedule:
+    """The optimal single-item broadcast schedule ``B(P)`` (Theorem 2.1)."""
+    times, srcs, dsts, _ = optimal_broadcast_sends(params)
     return Schedule.from_arrays(
         params,
-        delays[order] - params.send_cost,
-        parents[order],
-        order,
+        times,
+        srcs,
+        dsts,
         initial={0: {0}},
         source_items={0: 0},
     )

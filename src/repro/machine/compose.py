@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.fib import broadcast_time
-from repro.core.single_item import optimal_broadcast_schedule
+from repro.core.single_item import optimal_broadcast_sends
 from repro.machine.model import HierarchicalMachine, MachineModel
 from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule
@@ -70,25 +70,20 @@ def hier_broadcast_schedule(machine: MachineModel, item: object = 0) -> Schedule
     nodes, cores = m.nodes, m.cores
 
     if nodes > 1:
-        inter = optimal_broadcast_schedule(m.inter).columns()
-        inter_times = inter.times
-        inter_srcs = inter.srcs * cores
-        inter_dsts = inter.dsts * cores
-        # the broadcast tree informs each node exactly once, so a plain
-        # scatter of arrivals is the leaders' availability table
-        avail = np.zeros(nodes, dtype=np.int64)
-        avail[inter.dsts] = inter.arrivals
+        # avail: the leaders' inform times, indexed by node
+        inter_times, srcs, dsts, avail = optimal_broadcast_sends(m.inter)
+        inter_srcs, inter_dsts = srcs * cores, dsts * cores
     else:
         inter_times = inter_srcs = inter_dsts = _EMPTY
         avail = np.zeros(1, dtype=np.int64)
 
     if cores > 1:
-        tile = optimal_broadcast_schedule(m.intra).columns()
-        T = len(tile)
+        tile_times, tile_srcs, tile_dsts, _ = optimal_broadcast_sends(m.intra)
+        T = len(tile_times)
         offsets = np.arange(nodes, dtype=np.int64) * cores
-        intra_times = np.repeat(avail, T) + np.tile(tile.times, nodes)
-        intra_srcs = np.tile(tile.srcs, nodes) + np.repeat(offsets, T)
-        intra_dsts = np.tile(tile.dsts, nodes) + np.repeat(offsets, T)
+        intra_times = np.repeat(avail, T) + np.tile(tile_times, nodes)
+        intra_srcs = np.tile(tile_srcs, nodes) + np.repeat(offsets, T)
+        intra_dsts = np.tile(tile_dsts, nodes) + np.repeat(offsets, T)
     else:
         intra_times = intra_srcs = intra_dsts = _EMPTY
 

@@ -39,6 +39,7 @@ CLI: ``repro lint --builder bcast --implicit -P 1000000``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Hashable, Iterator, Mapping
 
@@ -210,6 +211,57 @@ class BinomialTreeFamily(TreeFamily):
         return best
 
 
+#: Smallest rank capacity of a cached run table; capacities double from here.
+_MIN_CAPACITY = 64
+
+
+# One entry per (send cost, g, capacity): 35 KB at capacity 2**20 for
+# L=6 o=2 g=4, 26 MB for the degenerate postal L=1000 (one run per ~1.6
+# ranks), so the bound caps what a long-running service can pin.
+# Exposed via repro.serve's /stats endpoint (core_cache_stats).
+@lru_cache(maxsize=64)
+def _universal_runs(send_cost: int, g: int, capacity: int) -> np.ndarray:
+    """The universal tree's run table over ranks ``0..capacity-1``.
+
+    Rows: run start rank, delay, parent delay and parent shift; column
+    0 is the root's run ``[0, 1)`` with no parent (parent delay
+    ``-1``).  The array is read-only, so every view and thread shares
+    it unlocked.
+    """
+    # the census reads only send_cost and g: L = send_cost, o = 0 has it
+    stand_in = LogPParams(P=capacity, L=send_cost, o=0, g=g)
+    census = np.array(broadcast_census(capacity, stand_in), dtype=np.int64)
+    t = len(census) - 1
+    cum_excl = np.concatenate(([0], census.cumsum()))
+    # one run per (parent delay p with N(p) > 0, gap j) with child
+    # delay d = p + cost + j*g <= t: the N(p) ranks informed at p send
+    # their j-th children there.  Generated in p order, so a stable sort
+    # by d puts the runs in rank order (d, p).
+    senders = np.flatnonzero(census)
+    gaps = np.maximum((t - send_cost - senders) // g + 1, 0)
+    parent_delay = senders.repeat(gaps)
+    j = np.arange(len(parent_delay), dtype=np.int64) - (
+        gaps.cumsum() - gaps
+    ).repeat(gaps)
+    run_delay = parent_delay + send_cost + j * g
+    order = run_delay.argsort(kind="stable")
+    run_delay = run_delay[order]
+    parent_delay = parent_delay[order]
+    sizes = census[parent_delay]
+    ahead = sizes.cumsum() - sizes
+    block = run_delay.searchsorted(run_delay)
+    start = cum_excl[run_delay] + ahead - ahead[block]
+    # keep the n runs that start below the capacity (starts rise in
+    # rank order)
+    n = int(np.count_nonzero(start < capacity))
+    table = np.zeros((4, n + 1), dtype=np.int64)
+    table[:3, 1:] = start[:n], run_delay[:n], parent_delay[:n]
+    table[2, 0] = -1
+    table[3, 1:] = start[:n] - cum_excl[parent_delay[:n]]
+    table.flags.writeable = False
+    return table
+
+
 class OptimalTreeFamily(TreeFamily):
     """The paper's universal broadcast tree (Definition 2.3), rank-coded.
 
@@ -223,13 +275,18 @@ class OptimalTreeFamily(TreeFamily):
     ``j``-th children of the ``N(p)`` ranks at delay ``p`` in their
     order, so inside a run a rank's parent is the rank minus a constant.
 
-    The state is a run table built once from the O(B(P)) census: one
-    row per non-empty run (start rank, delay, parent delay, parent
-    shift), O(B(P)^2/g) rows — 875 at P=1,000,123, L=6, o=2, g=4 — and
-    never more than ``P`` (each run starts at a distinct rank).  Every
-    query reads it: rank arrays by one ``searchsorted`` over the run
-    starts, contiguous rank ranges (:meth:`edge_facts`) by ``np.repeat``
-    over the runs they cross.  The makespan is exactly ``B(P)``
+    The state is a view of one run table per machine: one row per
+    non-empty run (start rank, delay, parent delay, parent shift),
+    O(B(P)^2/g) rows — 875 at P=1,000,123, L=6, o=2, g=4.  Because the
+    tree is universal, the table for ``P`` is the first rows of the
+    table for any larger rank count, so the table is built once per
+    ``(send_cost, g)`` and power-of-two capacity (a bounded LRU of
+    read-only arrays) and this family keeps the rows whose runs start
+    below ``P``: one ``searchsorted`` and a slice, the last run cut at
+    ``P``.  Every query reads those rows: rank arrays by one
+    ``searchsorted`` over the run starts, contiguous rank ranges
+    (:meth:`edge_facts`) by ``np.repeat`` over the runs they cross.
+    The makespan is the last run's delay, exactly ``B(P)``
     (Theorem 2.1), which is what makes a lint of this family report a
     zero SCHED008 optimality gap.
     """
@@ -238,39 +295,12 @@ class OptimalTreeFamily(TreeFamily):
 
     def __init__(self, params: LogPParams):
         super().__init__(params)
-        cost = params.send_cost
-        g = params.g
-        census = np.array(broadcast_census(self.P, params), dtype=np.int64)
-        self._t = len(census) - 1
-        cum_excl = np.concatenate(([0], census.cumsum()))
-        # one run per (parent delay p with N(p) > 0, gap j) with child
-        # delay d = p + cost + j*g <= B(P): the N(p) ranks informed at p
-        # send their j-th children there.  Generated in p order, so a
-        # stable sort by d puts the runs in rank order (d, p).
-        senders = np.flatnonzero(census)
-        gaps = np.maximum((self._t - cost - senders) // g + 1, 0)
-        parent_delay = senders.repeat(gaps)
-        j = np.arange(len(parent_delay), dtype=np.int64) - (
-            gaps.cumsum() - gaps
-        ).repeat(gaps)
-        run_delay = parent_delay + cost + j * g
-        order = run_delay.argsort(kind="stable")
-        run_delay = run_delay[order]
-        parent_delay = parent_delay[order]
-        sizes = census[parent_delay]
-        ahead = sizes.cumsum() - sizes
-        block = run_delay.searchsorted(run_delay)
-        start = cum_excl[run_delay] + ahead - ahead[block]
-        # keep the n runs that start below rank P (starts rise in rank
-        # order); row 0 is the root's run [0, 1) with no parent
-        n = int(np.count_nonzero(start < self.P))
-        table = np.zeros((5, n + 1), dtype=np.int64)
-        table[:3, 1:] = start[:n], run_delay[:n], parent_delay[:n]
-        table[2, 0] = -1
-        table[3, 1:] = start[:n] - cum_excl[parent_delay[:n]]
-        table[4] = np.diff(table[0], append=self.P)
-        self._run_start, self._run_delay, self._run_parent_delay = table[:3]
-        self._run_shift, self._run_length = table[3:]
+        capacity = max(_MIN_CAPACITY, 1 << (self.P - 1).bit_length())
+        table = _universal_runs(params.send_cost, params.g, capacity)
+        rows = table[:, : int(table[0].searchsorted(self.P))]
+        self._run_start, self._run_delay, self._run_parent_delay = rows[:3]
+        self._run_shift = rows[3]
+        self._run_length = np.diff(self._run_start, append=self.P)
 
     @property
     def num_runs(self) -> int:
@@ -326,7 +356,7 @@ class OptimalTreeFamily(TreeFamily):
 
     @property
     def makespan(self) -> int:
-        return self._t if self.P > 1 else 0
+        return int(self._run_delay[-1])
 
 
 def _validated_mapping(

@@ -50,12 +50,14 @@ def core_cache_stats() -> dict[str, dict[str, int | None]]:
     """
     from repro.core.continuous import assignment
     from repro.core.fib import _prefix_sums
+    from repro.schedule.implicit import _universal_runs
 
     # heterogeneous lru_cache wrappers; only cache_info() is used
     caches: dict[str, Any] = {
         "fib.prefix_sums": _prefix_sums,
         "continuous.find_base_cases": assignment.find_base_cases,
         "continuous.solve_cached": assignment._solve_cached,
+        "implicit.universal_runs": _universal_runs,
     }
     out: dict[str, dict[str, int | None]] = {}
     for name, fn in caches.items():

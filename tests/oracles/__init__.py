@@ -12,7 +12,8 @@ against: plain per-``SendOp`` loops written for clarity, not speed.
 * :mod:`tests.oracles.transform` — every schedule pass, one loop each;
 * :mod:`tests.oracles.builders` — per-send loop builders;
 * :mod:`tests.oracles.implicit` — the optimal tree's per-delay scan
-  (parents, delays, chunk edge facts);
+  (parents, delays, chunk edge facts) and its run table rebuilt per
+  ``P``;
 * :mod:`tests.oracles.tree` — the per-processor heap construction of
   ``B(P)`` and the broadcast schedule expanded from it.
 

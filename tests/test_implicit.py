@@ -73,6 +73,18 @@ class LyingFamily(BinomialTreeFamily):
         return np.where(ranks == 2, informs - 1, informs)
 
 
+class ThirdsEarlyFamily(BinomialTreeFamily):
+    """A broken family: every rank divisible by 3 claims to be informed
+    1000 cycles early, so SCHED001/003 fire more often than the emission
+    cap and the two engines must agree on which sends they list."""
+
+    name = "thirds-early"
+
+    def inform_times(self, ranks: np.ndarray) -> np.ndarray:
+        informs = super().inform_times(ranks)
+        return np.where((ranks % 3 == 0) & (ranks > 0), informs - 1000, informs)
+
+
 class TestFamilies:
     @pytest.mark.parametrize("params", MACHINES, ids=lambda p: f"P{p.P}")
     @pytest.mark.parametrize("family", FAMILIES)
@@ -360,6 +372,23 @@ class TestChunkedLint:
         ours = _diagnostic_dicts(chunked, shared)
         theirs = _diagnostic_dicts(full, shared)
         assert ours == theirs
+
+    @pytest.mark.parametrize("max_sends", [7, 64, DEFAULT_CHUNK_SENDS])
+    def test_agreement_past_the_emission_cap(self, max_sends):
+        from repro.analyze.diagnostics import MAX_EMITTED_PER_RULE
+
+        impl = ImplicitSchedule(ThirdsEarlyFamily(LogPParams(P=400, L=6, o=2, g=4)))
+        chunked = lint_implicit(impl, max_sends=max_sends)
+        full = lint_schedule(impl.materialize())
+        for rule_id in ("SCHED001", "SCHED003"):
+            assert chunked.rule_totals[rule_id] == 133 > MAX_EMITTED_PER_RULE
+        # SCHED008 is left out as in the test above: the family breaks
+        # the "earliest send at cycle 0" contract
+        shared = set(chunked.rules_run) - {"SCHED008"}
+        for rule_id in shared:
+            assert chunked.rule_totals[rule_id] == full.rule_totals[rule_id]
+        # both engines list each rule's first sends in replay order
+        assert _diagnostic_dicts(chunked, shared) == _diagnostic_dicts(full, shared)
 
     def test_selecting_whole_schedule_rule_raises(self):
         impl = implicit_broadcast(FIG1)

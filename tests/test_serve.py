@@ -309,6 +309,7 @@ class TestPlanService:
             "fib.prefix_sums",
             "continuous.find_base_cases",
             "continuous.solve_cached",
+            "implicit.universal_runs",
         }
         for info in core.values():
             assert info["maxsize"] is not None  # bounded: PR-7 satellite
