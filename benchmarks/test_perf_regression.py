@@ -19,7 +19,12 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from repro.bench import bench_all_to_all, bench_broadcast, time_call  # noqa: E402
+from repro.bench import (  # noqa: E402
+    bench_all_to_all,
+    bench_broadcast,
+    time_call,
+    time_fresh,
+)
 from repro.core.all_to_all import all_to_all_schedule  # noqa: E402
 from repro.params import postal  # noqa: E402
 from repro.sim.validate_np import violations_np  # noqa: E402
@@ -34,7 +39,7 @@ def test_validate_np_speedup_on_p256_all_to_all():
     schedule = all_to_all_schedule(postal(P=256, L=4))
     assert len(schedule.sends) == 256 * 255 == 65_280
     scalar_s, scalar_v = time_call(lambda: violations_objects(schedule), repeat=3)
-    np_s, np_v = time_call(lambda: violations_np(schedule), repeat=3)
+    np_s, np_v = time_fresh(violations_np, schedule, repeat=3)
     assert scalar_v == np_v == []
     speedup = scalar_s / np_s
     assert speedup >= 5.0, (

@@ -4,7 +4,11 @@ Every rule consumes the same handful of derived arrays (the columnar
 view, the availability table, the replay order, per-send availability
 lookups).  :class:`LintContext` computes each of them lazily and exactly
 once per engine run, so a ten-rule sweep over a million-send schedule
-costs one availability sort, not ten.  Everything here is numpy over
+costs one availability sort, not ten.  The availability table and the
+sender/destination hold times are memoized on the schedule itself
+(:meth:`~repro.schedule.ops.Schedule.memo`), so repeated lint runs, the
+passes and the legality kernel over one plan share a single sort.
+Everything here is numpy over
 :class:`~repro.schedule.columnar.ScheduleColumns` — no rule or helper
 ever iterates ``schedule.sends`` (checker REPRO001, ``repro check``,
 enforces this).
@@ -31,7 +35,11 @@ from typing import Hashable
 import numpy as np
 
 from repro.params import LogPParams
-from repro.schedule.analysis_np import availability_arrays, hold_times
+from repro.schedule.analysis_np import (
+    availability_arrays,
+    receiver_hold_times,
+    sender_hold_times,
+)
 from repro.schedule.columnar import ScheduleColumns
 from repro.schedule.ops import Schedule
 
@@ -50,20 +58,13 @@ class Workload:
 
 def detect_workload(schedule: Schedule) -> str:
     """Classify the schedule's initial placement (see module docstring)."""
-    placements = {
-        proc: items for proc, items in schedule.initial.items() if items
-    }
-    if not placements and schedule.num_sends == 0:
-        return Workload.EMPTY
+    placements = [items for items in schedule.initial.values() if items]
+    if not placements:
+        return Workload.EMPTY if schedule.num_sends == 0 else Workload.UNKNOWN
     if len(placements) == 1:
-        (items,) = placements.values()
-        return Workload.BROADCAST if len(items) == 1 else Workload.KITEM
-    if len(placements) > 1:
-        seen: set[Hashable] = set()
-        for items in placements.values():
-            if seen & items:
-                return Workload.UNKNOWN
-            seen |= items
+        return Workload.BROADCAST if len(placements[0]) == 1 else Workload.KITEM
+    # scattered: the placements are pairwise disjoint
+    if len(frozenset().union(*placements)) == sum(map(len, placements)):
         return Workload.SCATTERED
     return Workload.UNKNOWN
 
@@ -76,11 +77,6 @@ class LintContext:
         self.params: LogPParams = schedule.params
         self.cols: ScheduleColumns = schedule.columns()
         self.workload: str = detect_workload(schedule)
-        self._avail: (
-            tuple[np.ndarray, np.ndarray, dict[Hashable, int], int] | None
-        ) = None
-        self._send_avail: tuple[np.ndarray, np.ndarray] | None = None
-        self._dst_first: np.ndarray | None = None
         self._replay_order: np.ndarray | None = None
         self._participants: np.ndarray | None = None
         self._initial_keys: np.ndarray | None = None
@@ -129,11 +125,10 @@ class LintContext:
         ``keys`` is sorted ``proc * n_items + item_id``; ``times[i]`` is
         the earliest cycle that pair holds the item (initial placements
         and arrivals folded together).  See
-        :func:`repro.schedule.analysis_np.availability_arrays`.
+        :func:`repro.schedule.analysis_np.availability_arrays`; built
+        once per plan and shared with the passes and the kernel.
         """
-        if self._avail is None:
-            self._avail = availability_arrays(self.schedule, self.cols)
-        return self._avail
+        return availability_arrays(self.schedule)
 
     @property
     def n_items(self) -> int:
@@ -152,10 +147,6 @@ class LintContext:
         raise KeyError(code)
 
     @property
-    def src_keys(self) -> np.ndarray:
-        return self.cols.srcs * self.n_items + self.cols.items
-
-    @property
     def dst_keys(self) -> np.ndarray:
         return self.cols.dsts * self.n_items + self.cols.items
 
@@ -164,21 +155,15 @@ class LintContext:
     #: Storage index of ``cols`` row 0: the whole schedule starts at 0.
     lo = 0
 
-    def _sender_holds(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._send_avail is None:
-            keys, times, _, _ = self.avail
-            self._send_avail = hold_times(keys, times, self.src_keys)
-        return self._send_avail
-
     @property
     def send_found(self) -> np.ndarray:
         """Per send: does the sender ever hold the item?"""
-        return self._sender_holds()[0]
+        return sender_hold_times(self.schedule)[0]
 
     @property
     def send_avail(self) -> np.ndarray:
         """Per send: first cycle the sender holds the item (0 if never)."""
-        return self._sender_holds()[1]
+        return sender_hold_times(self.schedule)[1]
 
     @property
     def dst_avail(self) -> np.ndarray:
@@ -186,10 +171,7 @@ class LintContext:
 
         Always found — the send's own arrival is in the table.
         """
-        if self._dst_first is None:
-            keys, times, _, _ = self.avail
-            _, self._dst_first = hold_times(keys, times, self.dst_keys)
-        return self._dst_first
+        return receiver_hold_times(self.schedule)
 
     @property
     def initial_keys(self) -> np.ndarray:

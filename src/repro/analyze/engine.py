@@ -27,17 +27,21 @@ from repro.schedule.ops import Schedule
 __all__ = ["lint_schedule", "assert_lint_clean", "resolve_rules"]
 
 
+_BY_KEY: dict[str, Rule] = {
+    **{rule.id: rule for rule in RULES},
+    **{rule.name: rule for rule in RULES},
+}
+
+
 def resolve_rules(
     select: Iterable[str] | None = None,
     ignore: Iterable[str] | None = None,
 ) -> list[Rule]:
     """Resolve id/name selections against the registry (order-preserving)."""
-    by_key = {rule.id: rule for rule in RULES}
-    by_key.update({rule.name: rule for rule in RULES})
 
     def lookup(key: str) -> Rule:
         try:
-            return by_key[key]
+            return _BY_KEY[key]
         except KeyError:
             known = sorted({r.id for r in RULES} | {r.name for r in RULES})
             raise ValueError(
@@ -53,13 +57,8 @@ def resolve_rules(
         dropped = {lookup(key).id for key in ignore}
         chosen = [rule for rule in chosen if rule.id not in dropped]
     # registry order, deduplicated
-    seen: set[str] = set()
-    ordered = []
-    for rule in RULES:
-        if rule.id in {c.id for c in chosen} and rule.id not in seen:
-            seen.add(rule.id)
-            ordered.append(rule)
-    return ordered
+    chosen_ids = {rule.id for rule in chosen}
+    return [rule for rule in RULES if rule.id in chosen_ids]
 
 
 def lint_schedule(

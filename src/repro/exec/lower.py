@@ -26,7 +26,7 @@ no ``.sends`` loops.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _lower_columns(
     codes: np.ndarray,
     arrivals: np.ndarray,
     table: ItemTable,
-    initial: dict[int, set[Item]],
+    initial: Mapping[int, Iterable[Item]],
     computes: "Sequence[ComputeOp]",
 ) -> ExecPlan:
     n = int(times.shape[0])

@@ -20,8 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Iterable
 
+import numpy as np
+
 from repro.exec.errors import ExecVerificationError
 from repro.params import LogPParams
+from repro.schedule.columnar import ItemTable, ScheduleColumns
 from repro.schedule.ops import Item, Schedule
 from repro.schedule.serialize import CANONICAL_DUMPS, item_json, params_json
 
@@ -41,8 +44,15 @@ Row = tuple[int, int, str]
 _FORMAT_JSON = json.dumps(TRACE_FORMAT, **CANONICAL_DUMPS)
 
 
-def _rows(triples: Iterable[Triple], memo: dict[Any, str]) -> list[Row]:
-    """``(src, dst, canonical item JSON)`` rows in canonical order."""
+def _rows(
+    triples: Iterable[Triple], memo: dict[Any, str] | None = None
+) -> list[Row]:
+    """``(src, dst, canonical item JSON)`` rows in canonical order.
+
+    ``memo`` (see :func:`~repro.schedule.serialize.item_json`) encodes
+    each distinct tuple once; without it every item is encoded on its
+    own, exact even when equal items encode differently.
+    """
     return sorted([(src, dst, item_json(item, memo)) for src, dst, item in triples])
 
 
@@ -80,6 +90,19 @@ class ExecTrace:
         return delivered_json(self.params, self.delivered)
 
 
+def _legal_columns(schedule: Schedule) -> ScheduleColumns:
+    """The schedule's columns, once the validator accepts it."""
+    from repro.sim.validate_np import plan_violations
+
+    problems = plan_violations(schedule)
+    if problems:
+        raise ValueError(
+            f"schedule is not a legal LogP execution "
+            f"({len(problems)} violation(s)); first: {problems[0]}"
+        )
+    return schedule.columns()
+
+
 def sim_delivered(schedule: Schedule) -> list[Triple]:
     """The simulator's delivered multiset for a schedule.
 
@@ -90,15 +113,7 @@ def sim_delivered(schedule: Schedule) -> list[Triple]:
     the validator), so the result genuinely is what :func:`replay`
     would realize.
     """
-    from repro.sim.validate_np import violations_np
-
-    problems = violations_np(schedule)
-    if problems:
-        raise ValueError(
-            f"schedule is not a legal LogP execution "
-            f"({len(problems)} violation(s)); first: {problems[0]}"
-        )
-    cols = schedule.columns()
+    cols = _legal_columns(schedule)
     items = cols.table.items
     return [
         (src, dst, items[code])
@@ -108,23 +123,63 @@ def sim_delivered(schedule: Schedule) -> list[Triple]:
     ]
 
 
+def _trace_codes(table: ItemTable, items: Iterable[Item]) -> np.ndarray:
+    """Code trace items by the schedule's item table, byte-exactly.
+
+    An item takes a table code only when its canonical JSON equals that
+    table item's (``True`` does not take the code of ``1``, although
+    the two are equal); any other item gets a code past the table, one
+    per distinct text.  Two items share a code exactly when they encode
+    to the same bytes.
+    """
+    codes = table.codes
+    known = table.items
+    extra: dict[str, int] = {}
+
+    def code(item: Item) -> int:
+        found = codes.get(item)
+        if found is not None and known[found] is item:
+            return found
+        text = item_json(item)
+        if found is not None and item_json(known[found]) == text:
+            return found
+        return extra.setdefault(text, len(known) + len(extra))
+
+    return np.array([code(item) for item in items], dtype=np.int64)
+
+
+def _sorted_rows(srcs: Any, dsts: Any, codes: np.ndarray) -> np.ndarray:
+    rows = np.stack(
+        [np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64), codes]
+    )
+    return rows[:, np.lexsort(rows[::-1])]
+
+
 def verify_against_sim(schedule: Schedule, trace: ExecTrace) -> None:
     """Assert the trace's delivered multiset matches the simulator's,
     byte for byte in canonical form.
 
-    Both sides are reduced once to the sorted rows their canonical JSON
-    is written from (:func:`delivered_json`), sharing one item memo; the
-    rows are equal exactly when the bytes are.  Raises
-    :class:`ExecVerificationError` with a counted diff (missing and
-    unexpected triples) on divergence.
+    Both sides become ``(src, dst, item code)`` rows, coded through the
+    schedule's item table so that two items share a code exactly when
+    their canonical JSON is equal (:func:`_trace_codes`); after one
+    ``lexsort`` per side the rows are equal exactly when the bytes of
+    :func:`delivered_json` are.  Text is written only for the diff:
+    raises :class:`ExecVerificationError` with a counted diff (missing
+    and unexpected triples) on divergence.
     """
-    memo: dict[Any, str] = {}
-    want = _rows(sim_delivered(schedule), memo)
-    got = _rows(trace.delivered, memo)
-    if want == got and schedule.params == trace.params:
-        return
-    missing = Counter(want) - Counter(got)
-    extra = Counter(got) - Counter(want)
+    cols = _legal_columns(schedule)
+    delivered = trace.delivered
+    if len(delivered) == len(cols) and schedule.params == trace.params:
+        if not delivered:
+            return
+        srcs, dsts, items = zip(*delivered)
+        got = _sorted_rows(srcs, dsts, _trace_codes(cols.table, items))
+        if np.array_equal(_sorted_rows(cols.srcs, cols.dsts, cols.items), got):
+            return
+    want = Counter(_rows(sim_delivered(schedule)))
+    got_rows = Counter(_rows(delivered))
+    missing = want - got_rows
+    extra = got_rows - want
     parts = [
         f"delivered multiset diverges from the simulator on "
         f"{trace.transport}: {sum(missing.values())} missing, "

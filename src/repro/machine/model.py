@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, ClassVar, Mapping
 
 import numpy as np
@@ -211,9 +212,17 @@ class HierarchicalMachine(MachineModel):
     def num_procs(self) -> int:
         return self.nodes * self.cores
 
-    @property
+    @cached_property
     def flat_params(self) -> LogPParams:
+        # built and validated once per machine: a hier plan reads it
+        # several times (registry bounds, the composed builder)
         return self.inter.with_processors(self.num_procs)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # the cached envelope is derived state; pickles stay field-only
+        state = dict(self.__dict__)
+        state.pop("flat_params", None)
+        return state
 
     @property
     def levels(self) -> tuple[LogPParams, ...]:

@@ -3,14 +3,16 @@
 Every kernel consumes a schedule's cached
 :class:`~repro.schedule.columnar.ScheduleColumns` view and emits a fresh
 array-backed :class:`~repro.schedule.ops.Schedule` via
-:meth:`Schedule.from_arrays` — no ``SendOp`` object is ever constructed,
+:meth:`Schedule.from_arrays` (or, when ``canonicalize`` or
+``prune-dead-sends`` has nothing to change, its input, so the facts
+memoized on it carry over) — no ``SendOp`` object is ever constructed,
 so a pipeline over the P=1024 all-to-all (~1M sends) stays in numpy end
 to end.  The pure-Python oracles with identical observable behaviour
 (byte-identical serialized JSON, property-tested) live in
 ``tests/oracles/transform.py``; checker REPRO001 (``repro check``)
 keeps per-send Python loops out of this package.
 
-Column arrays are treated as immutable, so kernels share the input's
+Column arrays are read-only, so kernels share the input's
 arrays and :class:`~repro.schedule.columnar.ItemTable` whenever a column
 passes through unchanged (``shift`` shares ``srcs``/``dsts``/``items``,
 ``restrict`` shares the table, ...) — transforming is O(changed
@@ -24,6 +26,7 @@ from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
+from repro.schedule.analysis_np import receiver_hold_times
 from repro.schedule.columnar import ItemTable, sort_order
 from repro.schedule.ops import Schedule
 
@@ -72,8 +75,8 @@ def merge_source_items(
     return merged
 
 
-def _copy_initial(schedule: Schedule) -> dict[int, set[Item]]:
-    return {p: set(items) for p, items in schedule.initial.items()}
+def _is_identity(order: np.ndarray) -> bool:
+    return bool((order == np.arange(len(order))).all())
 
 
 def shift_columns(schedule: Schedule, offset: int) -> Schedule:
@@ -92,7 +95,7 @@ def shift_columns(schedule: Schedule, offset: int) -> Schedule:
         cols.dsts,
         cols.items,
         cols.table,
-        initial=_copy_initial(schedule),
+        initial=schedule.initial,
         computes=[replace(op, time=op.time + offset) for op in schedule.computes],
         source_items={
             item: when + offset for item, when in schedule.source_items.items()
@@ -131,7 +134,7 @@ def remap_columns(schedule: Schedule, mapping: Mapping[int, int]) -> Schedule:
             replace(op, proc=mapping.get(op.proc, op.proc))
             for op in schedule.computes
         ],
-        source_items=dict(schedule.source_items),
+        source_items=schedule.source_items,
         machine=schedule.machine,
     )
 
@@ -153,19 +156,16 @@ def reverse_columns(
     if len(cols) == 0:
         return Schedule(
             params=params,
-            initial=initial or dict(schedule.initial),
+            initial=initial or schedule.initial,
             machine=schedule.machine,
         )
     completion = int(cols.arrivals.max())
     new_times = completion - cols.arrivals
     uniq_dsts, inverse = np.unique(cols.dsts, return_inverse=True)
-    table = ItemTable((tag, int(d)) for d in uniq_dsts.tolist())
+    table = ItemTable.distinct((tag, d) for d in uniq_dsts.tolist())
     earliest = np.full(len(uniq_dsts), np.iinfo(np.int64).max, dtype=np.int64)
     np.minimum.at(earliest, inverse, new_times)
-    source_items: dict[Item, int] = {
-        (tag, int(d)): int(t)
-        for d, t in zip(uniq_dsts.tolist(), earliest.tolist())
-    }
+    source_items = dict(zip(table.items, earliest.tolist()))
     if initial is None:
         initial = {int(d): {(tag, int(d))} for d in uniq_dsts.tolist()}
     return Schedule.from_arrays(
@@ -202,7 +202,7 @@ def concat_columns(first: Schedule, second: Schedule) -> Schedule:
         raise ValueError(SHIFT_BEFORE_ZERO)
     table = c1.table.copy()
     code_map = table.encode(c2.table.items, count=len(c2.table))
-    initial = _copy_initial(first)
+    initial = {p: set(items) for p, items in first.initial.items()}
     for p, items in second.initial.items():
         initial.setdefault(p, set()).update(items)
     return Schedule.from_arrays(
@@ -253,7 +253,9 @@ def canonicalize_columns(schedule: Schedule) -> tuple[Schedule, int]:
     Returns ``(canonical schedule, number of item-table entries
     dropped)``.  The surviving table is re-interned in first-use order of
     the sorted send stream, so two schedules with the same canonical JSON
-    also get identical column storage.
+    also get identical column storage.  An input that is already
+    canonical is returned as is (:meth:`Schedule.array_backed
+    <repro.schedule.ops.Schedule.array_backed>`).
     """
     cols = schedule.columns()
     order = sort_order(cols)
@@ -262,6 +264,14 @@ def canonicalize_columns(schedule: Schedule) -> tuple[Schedule, int]:
         items_sorted, return_index=True, return_inverse=True
     )
     perm = np.argsort(first_pos, kind="stable")
+    if (
+        len(uniq_codes) == len(cols.table)
+        and _is_identity(order)
+        and _is_identity(perm)
+    ):
+        # already canonical: the result is the input (as array storage),
+        # so a verifier's next look at it reuses the facts memoized on it
+        return schedule.array_backed(), 0
     new_code_of = np.empty(len(uniq_codes), dtype=np.int64)
     new_code_of[perm] = np.arange(len(uniq_codes), dtype=np.int64)
     old_items = cols.table.items
@@ -275,9 +285,9 @@ def canonicalize_columns(schedule: Schedule) -> tuple[Schedule, int]:
             cols.dsts[order],
             new_code_of[inverse],
             table,
-            initial=_copy_initial(schedule),
+            initial=schedule.initial,
             computes=list(schedule.computes),
-            source_items=dict(schedule.source_items),
+            source_items=schedule.source_items,
             machine=schedule.machine,
         ),
         dropped,
@@ -289,18 +299,20 @@ def prune_dead_sends_columns(schedule: Schedule) -> tuple[Schedule, int]:
 
     A send is *dead* when its destination already holds the item at the
     send's start time (exactly the lint engine's SCHED004 predicate —
-    the kernel reuses :class:`~repro.analyze.context.LintContext`).  One
+    both read the schedule's memoized
+    :func:`~repro.schedule.analysis_np.receiver_hold_times`).  With
+    nothing to drop, the input itself is returned.  One
     pass reaches the fixpoint: for each ``(dst, item)`` pair the
     earliest-availability witness is either an initial placement or the
     minimum-arrival send, and a minimum-arrival send can itself be dead
     only when an initial placement outranks it — so removing dead sends
     never changes any first-availability time.
     """
-    from repro.analyze.context import LintContext
-
     cols = schedule.columns()
-    alive = LintContext(schedule).dst_avail > cols.times
+    alive = receiver_hold_times(schedule) > cols.times
     removed = int(len(cols) - int(alive.sum()))
+    if removed == 0:
+        return schedule, 0
     return (
         Schedule.from_arrays(
             schedule.params,
@@ -309,9 +321,9 @@ def prune_dead_sends_columns(schedule: Schedule) -> tuple[Schedule, int]:
             cols.dsts[alive],
             cols.items[alive],
             cols.table,
-            initial=_copy_initial(schedule),
+            initial=schedule.initial,
             computes=list(schedule.computes),
-            source_items=dict(schedule.source_items),
+            source_items=schedule.source_items,
             machine=schedule.machine,
         ),
         removed,
@@ -358,7 +370,7 @@ def compact_time_columns(schedule: Schedule) -> tuple[Schedule, int]:
                 cols.dsts,
                 cols.items,
                 cols.table,
-                initial=_copy_initial(schedule),
+                initial=schedule.initial,
                 source_items={},
                 machine=schedule.machine,
             ),
@@ -409,7 +421,7 @@ def compact_time_columns(schedule: Schedule) -> tuple[Schedule, int]:
             cols.dsts,
             cols.items,
             cols.table,
-            initial=_copy_initial(schedule),
+            initial=schedule.initial,
             source_items=source_items,
             machine=schedule.machine,
         ),

@@ -14,6 +14,12 @@ deliberately-broken lint corpus, while a buggy rewrite of a clean
 schedule is caught immediately.  Passes declaring
 ``preserves_completion`` additionally have their makespan (completion
 minus start time) checked.
+
+Each check lints its plan in full, but the facts under the rules (the
+availability table and hold times) are memoized on the schedule object
+(:meth:`~repro.schedule.ops.Schedule.memo`), and a pass with nothing to
+change returns its input, so re-verifying an unchanged plan re-derives
+nothing.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.schedule.columnar import ScheduleColumns
+from repro.schedule.columnar import ScheduleColumns, _read_only
 from repro.schedule.ops import Schedule
 
 __all__ = [
@@ -27,6 +27,8 @@ __all__ = [
     "columns",
     "availability_arrays",
     "hold_times",
+    "sender_hold_times",
+    "receiver_hold_times",
     "availability_np",
     "item_completion_times_np",
     "broadcast_delay_np",
@@ -43,31 +45,23 @@ def columns(schedule: Schedule) -> ScheduleColumns:
     return schedule.columns()
 
 
-def availability_arrays(
-    schedule: Schedule, cols: ScheduleColumns | None = None
+def _availability_table(
+    schedule: Schedule,
 ) -> tuple[np.ndarray, np.ndarray, dict[Hashable, int], int]:
-    """Struct-of-arrays availability: the kernel behind the dict helpers.
-
-    Returns ``(keys, times, item_ids, n_items)`` where ``keys`` is a sorted
-    array of encoded ``proc * n_items + item_id`` keys, ``times[i]`` is the
-    earliest cycle that (proc, item) pair holds the item, and ``item_ids``
-    extends ``cols.item_ids`` with any items that appear only in the
-    initial placement.  Consumers look up pairs with :func:`hold_times`.
-    """
-    if cols is None:
-        cols = columns(schedule)
+    cols = schedule.columns()
     item_ids = dict(cols.item_ids)
+    created = schedule.source_items.get
     init_entries: list[tuple[int, int, int]] = []
     for proc, items in schedule.initial.items():
         for item in items:
-            if item not in item_ids:
-                item_ids[item] = len(item_ids)
-            init_entries.append(
-                (proc, item_ids[item], schedule.item_creation_time(item))
-            )
+            code = item_ids.get(item)
+            if code is None:
+                code = item_ids[item] = len(item_ids)
+            init_entries.append((proc, code, created(item, 0)))
     n_items = len(item_ids)
     if n_items == 0:
         empty = np.empty(0, dtype=np.int64)
+        _read_only(empty)
         return empty, empty, item_ids, 0
     init_arr = np.array(init_entries, dtype=np.int64).reshape(-1, 3)
     keys = np.concatenate(
@@ -77,7 +71,27 @@ def availability_arrays(
     order = np.argsort(keys, kind="stable")
     sk, sv = keys[order], vals[order]
     starts = np.flatnonzero(np.concatenate(([True], sk[1:] != sk[:-1])))
-    return sk[starts], np.minimum.reduceat(sv, starts), item_ids, n_items
+    table_keys, table_times = sk[starts], np.minimum.reduceat(sv, starts)
+    _read_only(table_keys, table_times)
+    return table_keys, table_times, item_ids, n_items
+
+
+def availability_arrays(
+    schedule: Schedule,
+) -> tuple[np.ndarray, np.ndarray, dict[Hashable, int], int]:
+    """Struct-of-arrays availability: the kernel behind the dict helpers.
+
+    Returns ``(keys, times, item_ids, n_items)`` where ``keys`` is a sorted
+    array of encoded ``proc * n_items + item_id`` keys, ``times[i]`` is the
+    earliest cycle that (proc, item) pair holds the item, and ``item_ids``
+    extends ``cols.item_ids`` with any items that appear only in the
+    initial placement.  Consumers look up pairs with :func:`hold_times`.
+
+    Built once per plan: the table is memoized on the schedule
+    (:meth:`Schedule.memo <repro.schedule.ops.Schedule.memo>`), so lint,
+    the passes and the legality kernel share it.  Treat it as read-only.
+    """
+    return schedule.memo("availability", _availability_table)
 
 
 def hold_times(
@@ -95,6 +109,43 @@ def hold_times(
     pos = np.minimum(np.searchsorted(keys, pair_keys), len(keys) - 1)
     found = keys[pos] == pair_keys
     return found, np.where(found, times[pos], 0)
+
+
+def _endpoint_holds(
+    schedule: Schedule, endpoints: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    keys, times, _, n_items = availability_arrays(schedule)
+    pair_keys = endpoints * n_items + schedule.columns().items
+    found, have = hold_times(keys, times, pair_keys)
+    _read_only(found, have)
+    return found, have
+
+
+def _sender_holds(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    return _endpoint_holds(schedule, schedule.columns().srcs)
+
+
+def _receiver_holds(schedule: Schedule) -> np.ndarray:
+    return _endpoint_holds(schedule, schedule.columns().dsts)[1]
+
+
+def sender_hold_times(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """Per send: whether and from which cycle its *sender* holds the item.
+
+    Returns ``(found, have)``; ``have`` is 0 where ``found`` is False.
+    Memoized on the schedule; the kernel's causality check and lint
+    SCHED001 read the same pair.
+    """
+    return schedule.memo("sender_holds", _sender_holds)
+
+
+def receiver_hold_times(schedule: Schedule) -> np.ndarray:
+    """First cycle each send's *destination* holds the sent item.
+
+    Always found — the send's own arrival is in the table.  Memoized on
+    the schedule; lint SCHED004/005 and ``prune-dead-sends`` read it.
+    """
+    return schedule.memo("receiver_holds", _receiver_holds)
 
 
 def _id_to_item(item_ids: dict[Hashable, int]) -> list[Hashable]:

@@ -25,7 +25,7 @@ Both storage modes are observationally identical: the property suite in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -140,7 +140,11 @@ class ScheduleColumns:
     """Column-oriented view of a schedule's sends.
 
     ``items`` stores dense codes into ``table``; ``arrivals`` is the
-    precomputed ``times + L + 2o`` column every consumer needs.
+    precomputed ``times + L + 2o`` column every consumer needs.  A
+    schedule's column arrays are read-only (:func:`sends_to_columns`
+    and :func:`arrays_to_columns` set ``writeable=False``): schedules
+    and passes share them, and the legality facts memoized on a
+    schedule are keyed on the schedule object alone.
     """
 
     times: np.ndarray
@@ -170,8 +174,13 @@ class ScheduleColumns:
         )
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
+
+
 def _num_procs(
-    srcs: np.ndarray, dsts: np.ndarray, initial: dict[int, set[Item]]
+    srcs: np.ndarray, dsts: np.ndarray, initial: Mapping[int, Iterable[Item]]
 ) -> int:
     n = len(srcs)
     procs = int(max(srcs.max(initial=-1), dsts.max(initial=-1))) + 1 if n else 0
@@ -201,7 +210,7 @@ def _arrivals(
 def sends_to_columns(
     sends: list[SendOp],
     params: LogPParams,
-    initial: dict[int, set[Item]],
+    initial: Mapping[int, Iterable[Item]],
     machine: "MachineModel | None" = None,
 ) -> ScheduleColumns:
     """Convert an object-backed send list to column arrays (one pass)."""
@@ -211,12 +220,14 @@ def sends_to_columns(
     dsts = np.fromiter((op.dst for op in sends), dtype=np.int64, count=n)
     table = ItemTable()
     items = table.encode((op.item for op in sends), count=n)
+    arrivals = _arrivals(times, srcs, dsts, params, machine)
+    _read_only(times, srcs, dsts, items, arrivals)
     return ScheduleColumns(
         times=times,
         srcs=srcs,
         dsts=dsts,
         items=items,
-        arrivals=_arrivals(times, srcs, dsts, params, machine),
+        arrivals=arrivals,
         table=table,
         num_procs=_num_procs(srcs, dsts, initial),
     )
@@ -229,7 +240,7 @@ def arrays_to_columns(
     dsts: np.ndarray,
     item_codes: np.ndarray | None,
     table: ItemTable | None,
-    initial: dict[int, set[Item]],
+    initial: Mapping[int, Iterable[Item]],
     machine: "MachineModel | None" = None,
 ) -> ScheduleColumns:
     """Wrap caller-provided arrays as columns (zero-copy when ``int64``).
@@ -272,12 +283,14 @@ def arrays_to_columns(
             raise ValueError(
                 f"item codes must lie in [0, {len(table)}), got [{lo}, {hi}]"
             )
+    arrivals = _arrivals(times, srcs, dsts, params, machine)
+    _read_only(times, srcs, dsts, item_codes, arrivals)
     return ScheduleColumns(
         times=times,
         srcs=srcs,
         dsts=dsts,
         items=item_codes,
-        arrivals=_arrivals(times, srcs, dsts, params, machine),
+        arrivals=arrivals,
         table=table,
         num_procs=_num_procs(srcs, dsts, initial),
     )

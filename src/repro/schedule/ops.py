@@ -18,9 +18,13 @@ Two storage modes back the same interface:
   difference; vectorized consumers read :meth:`Schedule.columns` and
   never pay for the objects.
 
-``columns()`` and ``sorted_sends()`` are cached and invalidated on
-:meth:`add`/:meth:`extend` (or when the send count changes), so
-repeated validate/analyze calls stop re-deriving them.
+``columns()``, ``sorted_sends()`` and the per-plan memo of legality
+facts (:meth:`Schedule.memo`) are cached and invalidated by any edit of
+the send list — :meth:`add`, :meth:`extend`, the ``sends`` setter or an
+in-place edit such as ``schedule.sends[i] = op`` — so repeated
+validate/analyze/lint calls stop re-deriving them.  Everything else a
+legality fact depends on is read-only after construction: the column
+arrays, ``params``, ``initial``, ``source_items`` and ``machine``.
 
 Timing convention (integer cycles):
 
@@ -37,7 +41,17 @@ available at ``s + L``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    TypeVar,
+)
 
 import numpy as np
 
@@ -48,9 +62,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.machine.model import MachineModel
     from repro.schedule.columnar import ItemTable, ScheduleColumns
 
-__all__ = ["SendOp", "ComputeOp", "Schedule"]
+__all__ = ["SendOp", "ComputeOp", "SendList", "Schedule"]
 
 Item = Hashable
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -90,6 +105,57 @@ class ComputeOp:
     duration: int = 1
 
 
+class SendList(list[SendOp]):
+    """An object-backed schedule's send list.
+
+    Every in-place edit (``append``, ``sends[i] = op``, ``sort``, ...)
+    bumps :attr:`version`; the owning schedule compares it to the version
+    its columns were derived from, so an edit that keeps the length —
+    or bypasses :meth:`Schedule.add` — still invalidates them.
+    """
+
+    version = 0
+
+
+def _bumps_version(name: str) -> Callable[..., Any]:
+    edit = getattr(list, name)
+
+    def method(self: SendList, *args: Any, **kwargs: Any) -> Any:
+        result = edit(self, *args, **kwargs)
+        self.version += 1
+        return result
+
+    method.__name__ = name
+    method.__qualname__ = f"SendList.{name}"
+    method.__doc__ = edit.__doc__
+    return method
+
+
+for _name in (
+    "__setitem__",
+    "__delitem__",
+    "__iadd__",
+    "__imul__",
+    "append",
+    "extend",
+    "insert",
+    "pop",
+    "remove",
+    "clear",
+    "sort",
+    "reverse",
+):
+    setattr(SendList, _name, _bumps_version(_name))
+del _name
+
+
+# shared read-only defaults: processor 0 holds item 0; no creation times
+_SOURCE_HOLDS_ITEM_0: Mapping[int, frozenset[Item]] = MappingProxyType(
+    {0: frozenset({0})}
+)
+_NO_SOURCES: Mapping[Item, int] = MappingProxyType({})
+
+
 def _chronological(op: SendOp) -> tuple[int, int, int]:
     # sort key for replay order: (time, src, dst), ties kept in storage
     # order — total even when distinct items are not mutually orderable
@@ -120,15 +186,21 @@ class Schedule:
         or fault-masked machines switch arrival times, validation, and
         lint to per-edge pricing.  ``params`` stays the machine's flat
         envelope so legacy consumers keep working.
+
+    ``params``, ``initial``, ``source_items`` and ``machine`` are
+    read-only after construction (``initial`` maps each processor to a
+    ``frozenset``), so the legality facts memoized on the schedule
+    (:meth:`memo`) can never go stale behind its back.  ``sends`` is the
+    schedule's own :class:`SendList` copy of the given ops.
     """
 
     def __init__(
         self,
         params: LogPParams,
-        sends: list[SendOp] | None = None,
-        initial: dict[int, set[Item]] | None = None,
+        sends: Iterable[SendOp] | None = None,
+        initial: Mapping[int, Iterable[Item]] | None = None,
         computes: list[ComputeOp] | None = None,
-        source_items: dict[Item, int] | None = None,
+        source_items: Mapping[Item, int] | None = None,
         machine: MachineModel | None = None,
     ):
         if machine is not None and machine.num_procs != params.P:
@@ -136,16 +208,25 @@ class Schedule:
                 f"machine has {machine.num_procs} ranks but params.P is "
                 f"{params.P}"
             )
-        self.params = params
-        self.machine = machine
-        self.initial = initial if initial else {0: {0}}
-        self.computes = computes if computes is not None else []
-        self.source_items = source_items if source_items is not None else {}
-        self._sends: list[SendOp] | None = (
-            sends if isinstance(sends, list) else list(sends or [])
+        self._params = params
+        self._machine = machine
+        self._initial: Mapping[int, frozenset[Item]] = (
+            MappingProxyType(dict(zip(initial, map(frozenset, initial.values()))))
+            if initial
+            else _SOURCE_HOLDS_ITEM_0
         )
+        self.computes = computes if computes is not None else []
+        self._source_items: Mapping[Item, int] = (
+            MappingProxyType(dict(source_items)) if source_items else _NO_SOURCES
+        )
+        self._sends: SendList | None = SendList(sends or ())
         self._columns: ScheduleColumns | None = None
+        # the send-list version the columns (and the memo) derive from;
+        # -1 = not derived yet
+        self._synced = -1
         self._sorted: list[SendOp] | None = None
+        self._sorted_at = -1
+        self._memo: dict[str, Any] = {}
 
     @classmethod
     def from_arrays(
@@ -156,9 +237,9 @@ class Schedule:
         dsts: np.ndarray,
         item_codes: np.ndarray | None = None,
         item_table: ItemTable | None = None,
-        initial: dict[int, set[Item]] | None = None,
+        initial: Mapping[int, Iterable[Item]] | None = None,
         computes: list[ComputeOp] | None = None,
-        source_items: dict[Item, int] | None = None,
+        source_items: Mapping[Item, int] | None = None,
         machine: MachineModel | None = None,
     ) -> Schedule:
         """Build an array-backed schedule from ``int64`` column arrays.
@@ -184,26 +265,49 @@ class Schedule:
             dsts,
             item_codes,
             item_table,
-            schedule.initial,
+            schedule._initial,
             machine=machine,
         )
         return schedule
 
+    # -- read-only inputs ------------------------------------------------
+
+    @property
+    def params(self) -> LogPParams:
+        return self._params
+
+    @property
+    def machine(self) -> MachineModel | None:
+        return self._machine
+
+    @property
+    def initial(self) -> Mapping[int, frozenset[Item]]:
+        """Read-only map ``proc -> items`` held at time 0."""
+        return self._initial
+
+    @property
+    def source_items(self) -> Mapping[Item, int]:
+        """Read-only map ``item -> creation time`` at the source."""
+        return self._source_items
+
     # -- storage ---------------------------------------------------------
 
     @property
-    def sends(self) -> list[SendOp]:
+    def sends(self) -> SendList:
         """The send list (lazily materialized for array-backed schedules)."""
         if self._sends is None:
             from repro.schedule.columnar import materialize_sends
 
-            self._sends = materialize_sends(self._columns)
+            self._sends = SendList(materialize_sends(self._columns))
+            self._synced = self._sends.version
         return self._sends
 
     @sends.setter
     def sends(self, value: Iterable[SendOp]) -> None:
-        self._sends = value if isinstance(value, list) else list(value)
-        self._invalidate()
+        self._sends = SendList(value)
+        self._synced = -1
+        self._sorted = None
+        self._memo = {}
 
     @property
     def num_sends(self) -> int:
@@ -222,49 +326,85 @@ class Schedule:
 
         Array-backed schedules return their storage directly (zero-copy);
         object-backed schedules convert once and reuse the result until
-        the send count changes.
+        the send list is edited, which also drops the :meth:`memo`.
         """
-        if self._columns is not None and (
-            self._sends is None or len(self._columns) == len(self._sends)
-        ):
-            return self._columns
-        from repro.schedule.columnar import sends_to_columns
+        sends = self._sends
+        if sends is not None and self._synced != sends.version:
+            from repro.schedule.columnar import sends_to_columns
 
-        self._columns = sends_to_columns(
-            self._sends, self.params, self.initial, machine=self.machine
-        )
+            self._columns = sends_to_columns(
+                sends, self._params, self._initial, machine=self._machine
+            )
+            self._synced = sends.version
+            self._memo = {}
         return self._columns
 
-    def _invalidate(self) -> None:
-        if self._sends is not None:
-            self._columns = None
-        self._sorted = None
+    def memo(self, key: str, compute: Callable[[Schedule], T]) -> T:
+        """``compute(self)``, evaluated once per plan and kept on the schedule.
+
+        For facts derived from the columns, ``initial``, ``source_items``
+        and the machine — the availability table, hold times and the
+        legality verdict — so every pass, lint and verification step
+        over one schedule object shares one evaluation.  The memo is
+        dropped whenever the columns are; treat the values (never
+        ``None``) as read-only.
+        """
+        sends = self._sends
+        if sends is not None and self._synced != sends.version:
+            self.columns()
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = compute(self)
+        return value
+
+    def array_backed(self) -> Schedule:
+        """This plan with its columns as the only storage.
+
+        ``self`` when already array-backed; otherwise a twin that shares
+        this schedule's columns and its :meth:`memo` (the facts there are
+        facts about those columns), so nothing is re-derived for it.
+        """
+        if self._sends is None:
+            return self
+        twin = Schedule(
+            self._params,
+            initial=self._initial,
+            computes=list(self.computes),
+            source_items=self._source_items,
+            machine=self._machine,
+        )
+        twin._sends = None
+        twin._columns = self.columns()
+        twin._memo = self._memo
+        return twin
 
     # -- mutation --------------------------------------------------------
 
     def add(self, time: int, src: int, dst: int, item: Item = 0) -> SendOp:
         op = SendOp(time=time, src=src, dst=dst, item=item)
-        self.sends.append(op)
-        self._invalidate()
+        sends = self.sends
+        list.append(sends, op)  # the builders' hot path: no wrapper call
+        sends.version += 1
         return op
 
     def extend(self, ops: Iterable[SendOp]) -> None:
         self.sends.extend(ops)
-        self._invalidate()
 
     # -- derived views (cached) ------------------------------------------
 
     def sorted_sends(self) -> list[SendOp]:
         """Sends in replay order ``(time, src, dst)`` (cached; read-only)."""
-        if self._sorted is None or len(self._sorted) != self.num_sends:
-            self._sorted = sorted(self.sends, key=_chronological)
+        sends = self.sends
+        if self._sorted is None or self._sorted_at != sends.version:
+            self._sorted = sorted(sends, key=_chronological)
+            self._sorted_at = sends.version
         return self._sorted
 
     # -- queries ---------------------------------------------------------
 
     def items(self) -> set[Item]:
         found: set[Item] = set()
-        for items in self.initial.values():
+        for items in self._initial.values():
             found |= items
         if self._sends is None:
             cols = self._columns
@@ -276,7 +416,7 @@ class Schedule:
         return found
 
     def processors(self) -> set[int]:
-        procs = set(self.initial)
+        procs = set(self._initial)
         if self._sends is None:
             cols = self._columns
             procs.update(np.unique(cols.srcs).tolist())
@@ -288,7 +428,7 @@ class Schedule:
         return procs
 
     def item_creation_time(self, item: Item) -> int:
-        return self.source_items.get(item, 0)
+        return self._source_items.get(item, 0)
 
     def lint(self) -> "LintReport":
         """Run the static rule sweep (:func:`repro.analyze.lint_schedule`).
@@ -322,6 +462,24 @@ class Schedule:
 
     # mutable container, like the previous dataclass
     __hash__ = None  # type: ignore[assignment]
+
+    def __getstate__(self) -> dict[str, Any]:
+        # mapping proxies do not pickle, and the memo is derived state
+        state = dict(self.__dict__)
+        state["_initial"] = dict(self._initial)
+        state["_source_items"] = dict(self._source_items)
+        state["_memo"] = {}
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._initial = MappingProxyType(self._initial)
+        self._source_items = MappingProxyType(self._source_items)
+        if self._columns is not None:
+            from repro.schedule.columnar import _read_only
+
+            cols = self._columns
+            _read_only(cols.times, cols.srcs, cols.dsts, cols.items, cols.arrivals)
 
     def __repr__(self) -> str:
         backing = "arrays" if self._sends is None else "objects"

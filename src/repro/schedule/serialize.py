@@ -100,7 +100,7 @@ def _item_text(item: Any) -> str:
     return json.dumps(_encode_item(item), **CANONICAL_DUMPS)
 
 
-def item_json(item: Any, memo: dict[Any, str]) -> str:
+def item_json(item: Any, memo: dict[Any, str] | None = None) -> str:
     """The canonical JSON text of one item.
 
     The bytes are those of
@@ -110,11 +110,12 @@ def item_json(item: Any, memo: dict[Any, str]) -> str:
     distinct tuple item once.  Like :class:`ItemTable
     <repro.schedule.columnar.ItemTable>` interning, ``memo`` is keyed by
     equality, so one writer call must not mix items that are equal but
-    encode differently (``1`` and ``True``).  Every other type
-    (``bool``, ``frozenset``, ``int`` subclasses) goes through
-    ``json.dumps``, so its bytes cannot change.
+    encode differently (``1`` and ``True``); without a ``memo`` every
+    item is encoded on its own.  Every other type (``bool``,
+    ``frozenset``, ``int`` subclasses) goes through ``json.dumps``, so
+    its bytes cannot change.
     """
-    if type(item) is not tuple:
+    if memo is None or type(item) is not tuple:
         return _item_text(item)
     text = memo.get(item)
     if text is None:

@@ -23,7 +23,8 @@ Section 3.4).
 
 The checks run in one vectorized kernel,
 :func:`repro.sim.validate_np.violations_np`, for every machine model
-(flat, hierarchical, fault-masked).  :func:`replay` is the oracle
+(flat, hierarchical, fault-masked), once per plan: the verdict is
+memoized on the schedule object.  :func:`replay` is the oracle
 every constructive algorithm in the library is checked against: it
 validates a schedule and returns its per-processor activity
 :class:`~repro.sim.trace.Trace`.
@@ -35,7 +36,7 @@ from typing import Hashable
 
 from repro.schedule.ops import Schedule
 from repro.sim.trace import Trace, trace_from_schedule
-from repro.sim.validate_np import violations_np
+from repro.sim.validate_np import plan_violations, violations_np
 
 __all__ = [
     "violations",
@@ -49,13 +50,19 @@ Item = Hashable
 
 
 def violations(schedule: Schedule, check_capacity: bool = True) -> list[str]:
-    """Return all LogP-model violations in ``schedule`` (empty if legal)."""
-    return violations_np(schedule, check_capacity=check_capacity)
+    """Return all LogP-model violations in ``schedule`` (empty if legal).
+
+    The full check is evaluated once per plan (:func:`plan_violations`);
+    ``check_capacity=False`` runs the kernel without the capacity check.
+    """
+    if check_capacity:
+        return list(plan_violations(schedule))
+    return violations_np(schedule, check_capacity=False)
 
 
 def assert_valid(schedule: Schedule, check_capacity: bool = True) -> None:
     """Raise ``ValueError`` with all violations if the schedule is illegal."""
-    problems = violations_np(schedule, check_capacity=check_capacity)
+    problems = violations(schedule, check_capacity=check_capacity)
     if problems:
         preview = "\n  ".join(problems[:10])
         more = f"\n  ... and {len(problems) - 10} more" if len(problems) > 10 else ""

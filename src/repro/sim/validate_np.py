@@ -9,7 +9,8 @@ per-level checks; hierarchical and fault-masked machines run the same
 code over each level's sends.  Only violating ops are ever formatted
 in Python, so legal schedules stay entirely in numpy.
 
-:func:`repro.sim.validate.violations` calls it directly.  The
+:func:`plan_violations` memoizes its verdict on the schedule, and
+:func:`repro.sim.validate.violations` reads that memo.  The
 pure-Python checker in ``tests/oracles/validate.py`` is its
 differential oracle: hypothesis twins assert the same violation
 strings as a multiset.  At the P=256 all-to-all scale (65,280 sends)
@@ -25,16 +26,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.machine.model import FlatMachine
-from repro.schedule.analysis_np import (
-    ScheduleColumns,
-    availability_arrays,
-    columns,
-    hold_times,
-)
+from repro.schedule.analysis_np import ScheduleColumns, columns, sender_hold_times
 from repro.schedule.implicit import DEFAULT_CHUNK_SENDS, ImplicitSchedule
 from repro.schedule.ops import Schedule
 
-__all__ = ["violations_np", "violations_np_implicit"]
+__all__ = ["violations_np", "plan_violations", "violations_np_implicit"]
 
 
 def _format_causality(
@@ -77,10 +73,7 @@ def _format_causality(
 def _causality(
     schedule: Schedule, cols: ScheduleColumns, problems: list[str]
 ) -> None:
-    avail_keys, avail_times, _, n_items = availability_arrays(schedule, cols)
-    found, have = hold_times(
-        avail_keys, avail_times, cols.srcs * n_items + cols.items
-    )
+    found, have = sender_hold_times(schedule)
     _format_causality(cols, have, found & (cols.times < have), ~found, problems)
 
 
@@ -222,6 +215,21 @@ def violations_np(schedule: Schedule, check_capacity: bool = True) -> list[str]:
                         f"{direction} proc {proc}"
                     )
     return problems
+
+
+def plan_violations(schedule: Schedule) -> tuple[str, ...]:
+    """:func:`violations_np` with capacity checks, evaluated once per plan.
+
+    The verdict is memoized on the schedule (:meth:`Schedule.memo
+    <repro.schedule.ops.Schedule.memo>`), so ``violations``,
+    ``assert_valid``, ``replay`` and exec verification of one schedule
+    object share a single kernel run.
+    """
+    return schedule.memo("violations", _verdict)
+
+
+def _verdict(schedule: Schedule) -> tuple[str, ...]:
+    return tuple(violations_np(schedule))
 
 
 def violations_np_implicit(

@@ -196,6 +196,13 @@ class TestExecVsSim:
         import repro.sim.validate_np as validate_np
         from repro.exec import ExecVerificationError
 
+        calls = []
+        real = validate_np.violations_np
+        monkeypatch.setattr(
+            validate_np,
+            "violations_np",
+            lambda s: calls.append(s) or real(s),
+        )
         schedule = registry.plan("all-to-all", P=4, L=3)
         delivered = sim_delivered(schedule)
         dropped = max(delivered)
@@ -205,13 +212,6 @@ class TestExecVsSim:
             transport="inproc",
             delivered=(*(t for t in delivered if t != dropped), (0, 3, ("x", 7))),
         )
-        calls = []
-        real = validate_np.violations_np
-        monkeypatch.setattr(
-            validate_np,
-            "violations_np",
-            lambda s: calls.append(s) or real(s),
-        )
         with pytest.raises(ExecVerificationError) as err:
             verify_against_sim(schedule, wrong)
         assert str(err.value) == (
@@ -220,6 +220,8 @@ class TestExecVsSim:
             'first missing: 3 -> 2 item {"t":["a2a",3]}; '
             'first unexpected: 0 -> 3 item {"t":["x",7]}'
         )
+        # one kernel run per plan: sim_delivered and the verification
+        # read the verdict memoized on the schedule
         assert len(calls) == 1
 
     def test_verify_rejects_bare_exec_plan(self):
