@@ -38,7 +38,7 @@ lint:
 		cmp "$$out" $$f || exit 1; \
 	done
 	@if $(PY) -m ruff --version >/dev/null 2>&1; then \
-		$(PY) -m ruff check src tests || exit 1; \
+		$(PY) -m ruff check src tests benchmarks/harness.py || exit 1; \
 	else \
 		echo "SKIP: ruff not installed (CI runs it)"; \
 	fi
@@ -77,7 +77,7 @@ run-smoke:
 	done
 
 bench:
-	PYTHONPATH=src $(PY) -m repro.cli bench --out BENCH.json
+	PYTHONPATH=src $(PY) benchmarks/harness.py --out BENCH.json
 	PYTHONPATH=src $(PY) -m pytest -m perf benchmarks/test_perf_regression.py
 
 bench-micro:

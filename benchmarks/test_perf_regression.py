@@ -19,16 +19,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from repro.bench import (  # noqa: E402
+from repro.core.all_to_all import all_to_all_schedule  # noqa: E402
+from repro.params import postal  # noqa: E402
+from repro.sim.validate_np import violations_np  # noqa: E402
+
+from benchmarks.harness import (  # noqa: E402
     bench_all_to_all,
     bench_broadcast,
     time_call,
     time_fresh,
 )
-from repro.core.all_to_all import all_to_all_schedule  # noqa: E402
-from repro.params import postal  # noqa: E402
-from repro.sim.validate_np import violations_np  # noqa: E402
-
 from tests.oracles.builders import all_to_all_schedule_objects  # noqa: E402
 from tests.oracles.validate import violations_objects  # noqa: E402
 
@@ -123,7 +123,7 @@ def test_transform_pipeline_speedup_on_p512_all_to_all():
     canonicalize, prune-dead-sends) must beat the objects oracle by at
     least 10x on the P=512 all-to-all without ever materializing a
     SendOp list."""
-    from repro.bench import bench_transforms
+    from benchmarks.harness import bench_transforms
 
     from tests.oracles.transform import run_pass_objects
 
@@ -167,7 +167,7 @@ def test_implicit_lint_p1e6_bounded_memory():
     by the streamed chunk size, not by P.  Demonstrated directly: a
     *smaller* chunk at P=10^6 must peak below a *bigger* chunk at
     P=10^5, which no O(P) representation could manage."""
-    from repro.bench import bench_implicit_lint
+    from benchmarks.harness import bench_implicit_lint
 
     big = bench_implicit_lint(1_000_000)
     assert big["sends"] == 999_999
@@ -194,7 +194,7 @@ def test_implicit_optimal_lint_p1e6_under_100ms():
     broadcast reads the family's run table (one ``np.repeat`` per
     chunk), so the whole lint takes well under 0.1 s (measured ~0.03 s;
     the per-delay scan it replaced took ~0.2 s)."""
-    from repro.bench import bench_implicit_lint
+    from benchmarks.harness import bench_implicit_lint
 
     row = bench_implicit_lint(1_000_000, repeat=3)
     assert row["sends"] == 999_999
@@ -248,7 +248,7 @@ def test_serve_hot_cache_speedup():
     the content-addressed cache) must serve a Zipf request mix at least
     20x faster than cold planning, at a >= 90% hit rate, under real
     eviction pressure (capacity < population)."""
-    from repro.bench import bench_serve
+    from benchmarks.harness import bench_serve
 
     row = bench_serve()
     assert row["capacity"] < row["points"], "no eviction pressure"
@@ -347,7 +347,7 @@ def test_hier_plan_lint_within_flat_budget():
     broadcast (per-edge pricing through the machine model) stays within
     the flat P=512 plan+lint budget and never materializes a SendOp,
     while the composed plan's makespan beats the flat envelope's."""
-    from repro.bench import bench_hier
+    from benchmarks.harness import bench_hier
 
     row = bench_hier(P=512, repeat=3)
     assert row["sends"] == 511
@@ -365,7 +365,7 @@ def test_heal_bounded_time_at_p512():
     broadcast (dead leaders included, whole subtrees orphaned) covers
     every survivor, lints error-free, and completes well inside a
     per-plan interactive budget."""
-    from repro.bench import bench_heal
+    from benchmarks.harness import bench_heal
 
     row = bench_heal(P=512, repeat=3)
     assert row["dead"] > 0 and row["healed_sends"] > 0

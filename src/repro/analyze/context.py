@@ -2,12 +2,12 @@
 
 Every rule consumes the same handful of derived arrays (the columnar
 view, the availability table, the replay order, per-send availability
-lookups).  :class:`LintContext` computes each of them lazily and exactly
-once per engine run, so a ten-rule sweep over a million-send schedule
-costs one availability sort, not ten.  The availability table and the
-sender/destination hold times are memoized on the schedule itself
-(:meth:`~repro.schedule.ops.Schedule.memo`), so repeated lint runs, the
-passes and the legality kernel over one plan share a single sort.
+lookups).  :class:`LintContext` reads each of them from the schedule's
+memo (:meth:`~repro.schedule.ops.Schedule.memo`), where it is computed
+lazily and exactly once per plan object: a ten-rule sweep over a
+million-send schedule costs one availability sort, not ten, and
+repeated lint runs, the passes and the legality kernel over one plan
+share that sort and every other fact.
 Everything here is numpy over
 :class:`~repro.schedule.columnar.ScheduleColumns` — no rule or helper
 ever iterates ``schedule.sends`` (checker REPRO001, ``repro check``,
@@ -40,7 +40,7 @@ from repro.schedule.analysis_np import (
     receiver_hold_times,
     sender_hold_times,
 )
-from repro.schedule.columnar import ScheduleColumns
+from repro.schedule.columnar import ScheduleColumns, _read_only
 from repro.schedule.ops import Schedule
 
 __all__ = ["Workload", "detect_workload", "LintContext"]
@@ -69,19 +69,81 @@ def detect_workload(schedule: Schedule) -> str:
     return Workload.UNKNOWN
 
 
+def _broadcast_source(schedule: Schedule) -> int | None:
+    workload = schedule.memo("workload", detect_workload)
+    if workload not in (Workload.BROADCAST, Workload.KITEM):
+        return None
+    return next(proc for proc, items in schedule.initial.items() if items)
+
+
+def _initial_keys(schedule: Schedule) -> np.ndarray:
+    _, _, item_ids, n_items = availability_arrays(schedule)
+    entries = [
+        proc * n_items + item_ids[item]
+        for proc, items in schedule.initial.items()
+        for item in items
+    ]
+    keys = np.array(sorted(entries), dtype=np.int64)
+    _read_only(keys)
+    return keys
+
+
+def _replay_order(schedule: Schedule) -> np.ndarray:
+    cols = schedule.columns()
+    order = np.lexsort((cols.dsts, cols.srcs, cols.times))
+    _read_only(order)
+    return order
+
+
+def _participants(schedule: Schedule) -> np.ndarray:
+    cols = schedule.columns()
+    procs = np.union1d(cols.srcs, cols.dsts)
+    initial = np.fromiter(
+        (p for p, items in schedule.initial.items() if items), dtype=np.int64
+    )
+    participants = np.union1d(procs, initial)
+    machine = schedule.machine
+    if machine is not None:
+        expected = machine.expected_participants()
+        if expected is not None:
+            participants = np.union1d(participants, expected)
+    _read_only(participants)
+    return participants
+
+
+def _holders_per_item(schedule: Schedule) -> np.ndarray:
+    keys, _, _, n_items = availability_arrays(schedule)
+    holders = np.bincount(keys % n_items, minlength=n_items).astype(np.int64)
+    _read_only(holders)
+    return holders
+
+
+def _source_item_send_counts(schedule: Schedule) -> np.ndarray:
+    cols = schedule.columns()
+    source = _broadcast_source(schedule)
+    if source is None:
+        counts = np.zeros(0, dtype=np.int64)
+    else:
+        counts = np.bincount(
+            cols.items[cols.srcs == source], minlength=len(cols.table.items)
+        ).astype(np.int64)
+    _read_only(counts)
+    return counts
+
+
 class LintContext:
-    """Lazily-computed arrays shared by every rule in one lint run."""
+    """The rules' view of one schedule's lint facts.
+
+    Every derived fact (workload, replay order, participants, ...) is
+    memoized on the schedule (:meth:`~repro.schedule.ops.Schedule.memo`),
+    not here: each lint run over one plan object reads the same
+    evaluation.
+    """
 
     def __init__(self, schedule: Schedule):
         self.schedule = schedule
         self.params: LogPParams = schedule.params
         self.cols: ScheduleColumns = schedule.columns()
-        self.workload: str = detect_workload(schedule)
-        self._replay_order: np.ndarray | None = None
-        self._participants: np.ndarray | None = None
-        self._initial_keys: np.ndarray | None = None
-        self._holders: np.ndarray | None = None
-        self._source_counts: np.ndarray | None = None
 
     # -- basic shape -----------------------------------------------------
 
@@ -108,13 +170,14 @@ class LintContext:
         return int(self.cols.arrivals.max()) - self.start_time
 
     @property
+    def workload(self) -> str:
+        """:func:`detect_workload` of the schedule."""
+        return self.schedule.memo("workload", detect_workload)
+
+    @property
     def source(self) -> int | None:
         """The single initial processor for broadcast/kitem workloads."""
-        if self.workload not in (Workload.BROADCAST, Workload.KITEM):
-            return None
-        return next(
-            proc for proc, items in self.schedule.initial.items() if items
-        )
+        return _broadcast_source(self.schedule)
 
     # -- availability ----------------------------------------------------
 
@@ -176,25 +239,14 @@ class LintContext:
     @property
     def initial_keys(self) -> np.ndarray:
         """Sorted encoded (proc, item) pairs of the initial placement."""
-        if self._initial_keys is None:
-            _, _, item_ids, n_items = self.avail
-            entries = [
-                proc * n_items + item_ids[item]
-                for proc, items in self.schedule.initial.items()
-                for item in items
-            ]
-            self._initial_keys = np.array(sorted(entries), dtype=np.int64)
-        return self._initial_keys
+        return self.schedule.memo("initial_keys", _initial_keys)
 
     # -- orders and aggregates -------------------------------------------
 
     @property
     def replay_order(self) -> np.ndarray:
         """Indices ordering sends by ``(time, src, dst)`` (stable)."""
-        if self._replay_order is None:
-            cols = self.cols
-            self._replay_order = np.lexsort((cols.dsts, cols.srcs, cols.times))
-        return self._replay_order
+        return self.schedule.memo("replay_order", _replay_order)
 
     @property
     def participants(self) -> np.ndarray:
@@ -205,30 +257,12 @@ class LintContext:
         from every send would otherwise vanish from the observed
         participants and slip past coverage lint (SCHED010).
         """
-        if self._participants is None:
-            procs = np.union1d(self.cols.srcs, self.cols.dsts)
-            initial = np.fromiter(
-                (p for p, items in self.schedule.initial.items() if items),
-                dtype=np.int64,
-            )
-            participants = np.union1d(procs, initial)
-            machine = self.schedule.machine
-            if machine is not None:
-                expected = machine.expected_participants()
-                if expected is not None:
-                    participants = np.union1d(participants, expected)
-            self._participants = participants
-        return self._participants
+        return self.schedule.memo("participants", _participants)
 
     @property
     def holders_per_item(self) -> np.ndarray:
         """Distinct processors that ever hold each item (by extended id)."""
-        if self._holders is None:
-            keys, _, _, n_items = self.avail
-            self._holders = np.bincount(
-                keys % n_items, minlength=n_items
-            ).astype(np.int64)
-        return self._holders
+        return self.schedule.memo("holders_per_item", _holders_per_item)
 
     @property
     def source_item_send_counts(self) -> np.ndarray:
@@ -237,14 +271,6 @@ class LintContext:
         Indexed by the *column table's* dense item codes; only meaningful
         for broadcast/kitem workloads (empty array otherwise).
         """
-        if self._source_counts is None:
-            source = self.source
-            if source is None:
-                self._source_counts = np.zeros(0, dtype=np.int64)
-            else:
-                mask = self.cols.srcs == source
-                self._source_counts = np.bincount(
-                    self.cols.items[mask],
-                    minlength=len(self.cols.table.items),
-                ).astype(np.int64)
-        return self._source_counts
+        return self.schedule.memo(
+            "source_item_send_counts", _source_item_send_counts
+        )

@@ -76,11 +76,12 @@ def lint_schedule(
     """
     started = time.perf_counter()
     ctx = LintContext(schedule)
+    workload = ctx.workload
     diagnostics: list[Diagnostic] = []
     rules_run: list[str] = []
     totals: dict[str, int] = {}
     for rule in resolve_rules(select, ignore):
-        if not rule.applies(ctx.workload, len(ctx)):
+        if not rule.applies(workload, len(ctx)):
             continue
         emitted, total = rule.run(ctx)
         rules_run.append(rule.id)
@@ -92,7 +93,7 @@ def lint_schedule(
         rules_run=rules_run,
         rule_totals=totals,
         num_sends=len(ctx),
-        workload=ctx.workload,
+        workload=workload,
         elapsed_s=time.perf_counter() - started,
     )
 

@@ -10,7 +10,6 @@ Usage::
     python -m repro.cli plan-allreduce --P 9 --L 3
     python -m repro.cli figures    [--only 1 2 ...]
     python -m repro.cli sweeps
-    python -m repro.cli bench      [--out BENCH.json] [--repeat N] [--quick]
     python -m repro.cli serve      [--port 8040] [--capacity N] [--cache-dir DIR]
     python -m repro.cli lint       <schedule.json> [--format text|json]
     python -m repro.cli lint       --builder bcast --P 8 --L 6 --o 2 --g 4
@@ -114,6 +113,14 @@ def _usage_error(msg: str) -> int:
     return 2
 
 
+def _check_spec(name: str, params: LogPParams, **extra: int) -> None:
+    """Run spec ``name``'s machine and parameter checks (``ValueError``)."""
+    spec = registry.get_spec(name)
+    if spec.check_machine is not None:
+        spec.check_machine(params)
+    spec.validate_extra(params, extra)
+
+
 def _spec_extra(
     spec: registry.CollectiveSpec, args: argparse.Namespace
 ) -> dict[str, int]:
@@ -173,6 +180,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     done = registry.completion(schedule)
     extras = ", ".join(f"{k}={v}" for k, v in extra.items())
     target = params if model is None else model
+    if schedule.params.P != params.P:
+        # allreduce rounds P up to a combining size P(T); summation may
+        # need fewer processors than it was offered
+        target = f"{schedule.params} (requested P={params.P})"
     line = f"{spec.name} on {target}"
     if extras:
         line += f" ({extras})"
@@ -189,7 +200,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_plan_bcast(args: argparse.Namespace) -> int:
-    machine = _machine(args)
+    try:
+        machine = _machine(args)
+        _check_spec("broadcast", machine)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     schedule = optimal_broadcast_schedule(machine)
     replay(schedule)
     delays = broadcast_delay_per_proc(schedule)
@@ -208,6 +223,10 @@ def cmd_plan_bcast(args: argparse.Namespace) -> int:
 
 
 def cmd_plan_kitem(args: argparse.Namespace) -> int:
+    try:
+        _check_spec("kitem", postal(P=args.P, L=args.L), k=args.k)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     schedule = single_sending_schedule(args.k, args.P, args.L)
     replay(schedule)
     done = max(item_completion_times(schedule, set(range(args.P))).values())
@@ -226,9 +245,9 @@ def cmd_plan_kitem(args: argparse.Namespace) -> int:
 
 
 def cmd_plan_sum(args: argparse.Namespace) -> int:
-    machine = _machine(args)
     spec = registry.get_spec("summation")
     try:
+        machine = _machine(args)
         if spec.check_machine is not None:
             spec.check_machine(machine)
         t = args.t if args.t is not None else min_summation_time(args.n, machine)
@@ -250,7 +269,11 @@ def cmd_plan_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_plan_allreduce(args: argparse.Namespace) -> int:
-    T = combining_time(args.P, args.L)
+    try:
+        _check_spec("allreduce", postal(P=args.P, L=args.L))
+        T = combining_time(args.P, args.L)
+    except ValueError as exc:
+        return _usage_error(str(exc))
     run = simulate_combining(T, args.L)
     replay(run.schedule)
     assert run.complete()
@@ -265,7 +288,13 @@ def cmd_plan_allreduce(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     from repro.report import machine_report
 
-    print(machine_report(_machine(args)))
+    try:
+        machine = _machine(args)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    if machine.P < 2:
+        return _usage_error(f"report: P must be >= 2, got {machine.P}")
+    print(machine_report(machine))
     return 0
 
 
@@ -291,48 +320,6 @@ def cmd_sweeps(_args: argparse.Namespace) -> int:
     sweeps._print(sweeps.kitem_bounds_sweep(), "k-item bounds (Thms 3.1/3.6)")
     sweeps._print(sweeps.combining_sweep(), "combining broadcast (Thm 4.1)")
     sweeps._print(sweeps.summation_capacity_sweep(), "summation capacity (Lem 5.1)")
-    return 0
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_bench, write_bench
-
-    if args.quick:
-        sizes, a2a_sizes, kitem, transform_P = (64, 128), (64,), (64, 2), 128
-        implicit_sizes: tuple[int, ...] = (10_000,)
-        serve_points: int | None = 200
-        serve_draws = 3_000
-        exec_P = 64
-        hier_P = 64
-    else:
-        sizes, a2a_sizes, kitem, transform_P = (
-            (256, 1024, 4096),
-            (256, 1024),
-            (256, 4),
-            1024,
-        )
-        implicit_sizes = (100_000, 1_000_000)
-        serve_points = None
-        serve_draws = 16_000
-        exec_P = 256
-        hier_P = 512
-    total = len(sizes) + len(a2a_sizes) + len(implicit_sizes) + 6
-    print(f"running {total} benchmark scenarios...")
-    results = run_bench(
-        sizes=sizes,
-        a2a_sizes=a2a_sizes,
-        kitem=kitem,
-        transform_P=transform_P,
-        implicit_sizes=implicit_sizes,
-        serve_points=serve_points,
-        serve_draws=serve_draws,
-        exec_P=exec_P,
-        hier_P=hier_P,
-        repeat=args.repeat,
-        verbose=True,
-    )
-    write_bench(results, args.out)
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -709,12 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweeps", help="run the theorem-validation sweeps")
     p.set_defaults(func=cmd_sweeps)
-
-    p = sub.add_parser("bench", help="time build/validate/execute at scale")
-    p.add_argument("--out", default="BENCH.json", help="output JSON path")
-    p.add_argument("--repeat", type=int, default=1, help="best-of repetitions")
-    p.add_argument("--quick", action="store_true", help="small sizes (smoke test)")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "serve", help="HTTP plan service (cached, batched planning)"

@@ -26,7 +26,7 @@ Quickstart::
     service.plan_many_json([{"collective": "bcast", "P": 8, "L": 6}] * 100)
     service.stats()["memory"]["hits"]
 
-The bench harness's ``serve`` scenario (``repro.bench.bench_serve``)
+The ``serve`` scenario of ``benchmarks/harness.py`` (``bench_serve``)
 drives a Zipf request mix over thousands of points; the recorded gate
 (``BENCH_PR7.json``) holds the hot path at ≥ 20x cold planning with a
 ≥ 90% hit rate.

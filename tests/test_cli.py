@@ -62,6 +62,28 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "T = 7" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("plan-allreduce --P 1 --L 3", "allreduce: P must be >= 2, got 1"),
+            ("plan-allreduce --P 9 --L 0", "L must be >= 1, got 0"),
+            ("plan-kitem --P 1 --L 3 --k 2", "kitem: P must be >= 2, got 1"),
+            ("plan-kitem --P 5 --L 3 --k 0", "kitem: k must be >= 1, got 0"),
+            ("plan-kitem --P 5 --L 0 --k 2", "L must be >= 1, got 0"),
+            ("plan-bcast --P 0 --L 3", "P must be >= 1, got 0"),
+            ("plan-bcast --P 4 --L 3 --g 0", "g must be >= 1, got 0"),
+            ("plan-sum --P 0 --L 3 --n 5", "P must be >= 1, got 0"),
+            ("report --P 0 --L 3", "P must be >= 1, got 0"),
+            ("report --P 1 --L 3", "report: P must be >= 2, got 1"),
+        ],
+    )
+    def test_legacy_commands_reject_bad_input_in_one_line(
+        self, capsys, argv, message
+    ):
+        assert main(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {message}\n"
+
     def test_figures_single(self, capsys):
         assert main(["figures", "--only", "1"]) == 0
         out = capsys.readouterr().out
@@ -99,6 +121,17 @@ class TestRegistryCommands:
         out = capsys.readouterr().out
         assert "completes in 24 cycles" in out
         assert "matches the Thm 2.1 lower bound of 24" in out
+
+    def test_plan_names_the_processor_count_it_planned(self, capsys):
+        # allreduce builds on the smallest combining size P(T) >= P
+        assert main(["plan", "allreduce", "--P", "7", "--L", "3"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == (
+            "allreduce on LogPParams(P=9, L=3, o=0, g=1) (requested P=7)"
+        )
+        assert main(["plan", "allreduce", "--P", "9", "--L", "3"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == "allreduce on LogPParams(P=9, L=3, o=0, g=1)"
 
     def test_plan_accepts_aliases(self, capsys):
         assert main(["plan", "a2a", "--P", "4", "--L", "2"]) == 0

@@ -540,7 +540,7 @@ class TestRunCli:
 
 
 def test_bench_rows_execute_every_send():
-    from repro.bench import bench_all_to_all, bench_broadcast
+    from benchmarks.harness import bench_all_to_all, bench_broadcast
 
     for row in (bench_broadcast(64), bench_all_to_all(16)):
         assert row["execute_delivered"] == row["sends"] > 0

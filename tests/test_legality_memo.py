@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analyze.context as lint_context
 import repro.schedule.analysis_np as analysis_np
 import repro.sim.validate_np as validate_np
 from repro import registry
@@ -62,9 +63,10 @@ class TestRunMpCounts:
     run-mp workload does (on inproc), counting legality work."""
 
     def test_one_table_per_distinct_plan_and_one_kernel_run(self, monkeypatch):
-        counts = {"tables": 0, "kernel": 0}
+        counts = {"tables": 0, "kernel": 0, "workload": 0}
         build_table = analysis_np._availability_table
         kernel = validate_np.violations_np
+        detect = lint_context.detect_workload
 
         def counted_table(schedule):
             counts["tables"] += 1
@@ -74,11 +76,16 @@ class TestRunMpCounts:
             counts["kernel"] += 1
             return kernel(schedule, check_capacity=check_capacity)
 
+        def counted_detect(schedule):
+            counts["workload"] += 1
+            return detect(schedule)
+
         monkeypatch.setattr(analysis_np, "_availability_table", counted_table)
+        monkeypatch.setattr(lint_context, "detect_workload", counted_detect)
         monkeypatch.setattr(validate_np, "violations_np", counted_kernel)
         seen = {}
         for name, kwargs, machine in _run_mp_requests():
-            counts.update(tables=0, kernel=0)
+            counts.update(tables=0, kernel=0, workload=0)
             if machine is None:
                 schedule = registry.plan(name, **kwargs)
             else:
@@ -94,8 +101,40 @@ class TestRunMpCounts:
             limit = {"reduction": 3, "summation": 1, "allreduce": 1}.get(name, 2)
             assert counts["tables"] <= limit, (name, counts)
             assert counts["kernel"] == 1, (name, counts)
+            # every lint of one plan object reads its memoized lint facts
+            # (a per-call LintContext detected the workload 4 times per
+            # request, 6 for reduction)
+            assert counts["workload"] <= limit, (name, counts)
         # canonicalize is a no-op on these two: one plan, one table
         assert seen["summation"]["tables"] == seen["allreduce"]["tables"] == 1
+
+
+class TestLintFacts:
+    FACTS = (
+        "replay_order",
+        "participants",
+        "initial_keys",
+        "holders_per_item",
+        "source_item_send_counts",
+    )
+
+    def test_every_lint_context_reads_one_memo(self):
+        s = registry.plan("kitem", P=10, L=3, k=4)
+        ctx = lint_context.LintContext(s)
+        assert set(vars(ctx)) == {"schedule", "params", "cols"}
+        again = lint_context.LintContext(s)
+        assert again.workload == ctx.workload == lint_context.Workload.KITEM
+        for name in self.FACTS:
+            fact = getattr(ctx, name)
+            assert getattr(again, name) is fact, name
+            with pytest.raises(ValueError, match="read-only"):
+                fact[0] = 1
+
+    def test_an_edit_drops_the_lint_facts(self):
+        s = _four_kind_plan()
+        assert lint_context.LintContext(s).participants.tolist() == [0, 1, 2, 3]
+        s.sends = [op for op in s.sends if op.dst != 3]
+        assert lint_context.LintContext(s).participants.tolist() == [0, 1, 2]
 
 
 def _four_kind_plan() -> Schedule:

@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import registry
-from repro.bench import latest_baseline
 from repro.params import LogPParams
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.serve import (
@@ -471,17 +470,31 @@ class TestHTTP:
 
 class TestBenchBaseline:
     def test_picks_the_numerically_newest(self, tmp_path):
+        from benchmarks.harness import latest_baseline
+
         for name in ("BENCH_PR2.json", "BENCH_PR10.json", "BENCH_PR7.json"):
             (tmp_path / name).write_text("{}")
         (tmp_path / "BENCH_NIGHTLY.json").write_text("{}")
         assert latest_baseline(tmp_path) == "BENCH_PR10.json"
 
     def test_empty_directory_yields_none(self, tmp_path):
+        from benchmarks.harness import latest_baseline
+
         assert latest_baseline(tmp_path) is None
 
     def test_repo_checkout_resolves_to_a_baseline(self):
+        from benchmarks.harness import latest_baseline
+
         name = latest_baseline(Path(__file__).resolve().parent.parent)
         assert name is not None and name.startswith("BENCH_PR")
+
+    def test_falls_back_to_the_repo_root(self, tmp_path, monkeypatch):
+        from benchmarks.harness import latest_baseline
+
+        monkeypatch.chdir(tmp_path)  # no BENCH_PR*.json here
+        assert latest_baseline() == latest_baseline(
+            Path(__file__).resolve().parent.parent
+        )
 
     def test_serve_request_points_are_canonicalizable(self):
         from repro.bench import serve_request_points
