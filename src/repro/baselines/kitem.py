@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from repro.baselines.trees import binomial_tree_schedule
 from repro.core.single_item import optimal_broadcast_schedule
-from repro.params import LogPParams, postal
-from repro.schedule.ops import Schedule, SendOp
+from repro.params import postal
+from repro.schedule.ops import Schedule
 
 __all__ = [
     "repeated_broadcast_schedule",

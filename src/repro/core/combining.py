@@ -22,12 +22,12 @@ its ``T`` — a factor-2 saving over reduce-then-broadcast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.fib import fib, fib_sequence
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
-from repro.schedule.ops import Schedule, SendOp
+from repro.schedule.ops import Schedule
 
 __all__ = [
     "CombiningRun",

@@ -26,7 +26,7 @@ legality per block and exact census cover (:meth:`BlockCyclicAssignment.validate
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.core.continuous.relative import Instance, instance_for

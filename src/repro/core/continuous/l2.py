@@ -19,12 +19,11 @@ machine-checked :class:`~repro.core.continuous.schedule.GeneralAssignment`.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from dataclasses import dataclass
+from collections import Counter
 
 from repro.core.continuous.assignment import solve_instance
 from repro.core.continuous.relative import instance_for
-from repro.core.continuous.schedule import GBlock, GeneralAssignment
+from repro.core.continuous.schedule import GeneralAssignment
 from repro.core.continuous.general import solve_general_words
 from repro.core.fib import reachable_postal
 from repro.core.tree import BroadcastTree, TreeNode, tree_for_time

@@ -26,11 +26,10 @@ size ``r`` (one copy per member per item) and outbound weight equals the
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import networkx as nx
 
-from repro.core.fib import broadcast_time_postal, reachable_postal
 from repro.core.tree import tree_for_time
 from repro.params import postal
 

@@ -28,9 +28,8 @@ completion exactly ``B + L + k - 1``.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.core.fib import broadcast_time_postal, reachable_postal
 from repro.core.kitem.bounds import single_sending_lower_bound
 from repro.core.tree import tree_for_time
 from repro.params import postal

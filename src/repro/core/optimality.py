@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.fib import broadcast_time_postal, fib, fib_sequence
+from repro.core.fib import broadcast_time_postal
 
 __all__ = [
     "max_informed_dp",

@@ -19,8 +19,6 @@ optimal broadcast pattern (the universal tree's ``P`` smallest labels).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.core.tree import BroadcastTree, optimal_tree
 from repro.params import LogPParams
 

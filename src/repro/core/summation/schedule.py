@@ -21,7 +21,7 @@ Timing recap (processor = node ``i`` of the summation tree, delay ``d``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.summation.capacity import operand_distribution, summation_tree
 from repro.core.tree import BroadcastTree

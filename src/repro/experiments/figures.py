@@ -15,12 +15,11 @@ from dataclasses import dataclass, field
 from repro.core.continuous.assignment import solve_instance
 from repro.core.continuous.relative import instance_for, step_multiset
 from repro.core.continuous.schedule import expand_assignment
-from repro.core.continuous.words import word_automaton, word_to_str
-from repro.core.fib import broadcast_time, broadcast_time_postal
+from repro.core.continuous.words import word_automaton
+from repro.core.fib import broadcast_time_postal
 from repro.core.kitem.blocks import block_layout, block_transmission_digraph
 from repro.core.kitem.buffered import buffered_schedule
 from repro.core.kitem.bounds import (
-    continuous_based_time,
     kitem_lower_bound,
     single_sending_lower_bound,
 )

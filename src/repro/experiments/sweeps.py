@@ -9,11 +9,8 @@ every row.  Run standalone::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.baselines.kitem import (
     repeated_broadcast_schedule,
-    scatter_allgather_schedule,
     staggered_binomial_schedule,
 )
 from repro.baselines.summation import binary_reduction_capacity
@@ -21,10 +18,8 @@ from repro.baselines.trees import baseline_broadcast, baseline_reduction
 from repro.core.combining import combining_time, reduction_schedule, simulate_combining
 from repro.core.fib import (
     broadcast_time,
-    broadcast_time_postal,
     fib,
     reachable,
-    reachable_postal,
 )
 from repro.core.kitem.bounds import kitem_lower_bound, kitem_upper_bound
 from repro.core.kitem.single_sending import single_sending_schedule

@@ -15,7 +15,7 @@ from repro.baselines.summation import binary_reduction_capacity
 from repro.baselines.trees import baseline_broadcast
 from repro.comm import Communicator
 from repro.core.all_to_all import all_to_all_time, is_tight
-from repro.core.fib import broadcast_time, broadcast_time_postal, k_star
+from repro.core.fib import broadcast_time, k_star, kitem_lower_bound
 from repro.core.kitem.bounds import kitem_upper_bound, single_sending_lower_bound
 from repro.core.kitem.single_sending import completion, single_sending_schedule
 from repro.core.summation.capacity import min_summation_time, summation_capacity
@@ -65,19 +65,13 @@ def _kitem_section(machine: LogPParams, ks: tuple[int, ...]) -> list[str]:
         schedule = single_sending_schedule(k, P, L)
         replay(schedule)
         lines.append(
-            f"| {k} | {kitem_lower_bound_cached(P, L, k)} | "
+            f"| {k} | {kitem_lower_bound(P, L, k)} | "
             f"**{completion(schedule)}** | "
             f"{single_sending_lower_bound(P, L, k)} | "
             f"{kitem_upper_bound(P, L, k)} |"
         )
     lines.append("")
     return lines
-
-
-def kitem_lower_bound_cached(P: int, L: int, k: int) -> int:
-    from repro.core.fib import kitem_lower_bound
-
-    return kitem_lower_bound(P, L, k)
 
 
 def _collectives_section(machine: LogPParams) -> list[str]:

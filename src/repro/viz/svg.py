@@ -10,7 +10,7 @@ ASCII timelines in :mod:`repro.viz.ascii`.
 from __future__ import annotations
 
 from repro.schedule.ops import Schedule
-from repro.sim.trace import Trace, trace_from_schedule
+from repro.sim.trace import trace_from_schedule
 
 __all__ = ["schedule_to_svg", "save_svg"]
 

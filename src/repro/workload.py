@@ -17,11 +17,9 @@ cycles between collectives; overlaps nothing by assumption).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.baselines.trees import baseline_broadcast
 from repro.comm import Communicator
-from repro.core.fib import broadcast_time
 from repro.params import LogPParams
 from repro.schedule.analysis import broadcast_delay_per_proc
 

@@ -1,6 +1,5 @@
 """Tests for the vectorized analysis (agreement with the per-send oracles)."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.fib import reachable_postal, single_sending_lower_bound
-from repro.core.kitem.buffered import BufferedSchedule, buffered_schedule
+from repro.core.kitem.buffered import buffered_schedule
 
 
 class TestFig5:

@@ -8,7 +8,7 @@ from repro.core.combining import (
     simulate_combining,
 )
 from repro.core.fib import broadcast_time, fib
-from repro.params import LogPParams, postal
+from repro.params import postal
 from repro.schedule.analysis import availability
 from repro.sim.validate import replay
 

@@ -1,15 +1,60 @@
 """Tests for the high-level Communicator / VirtualCluster API."""
 
+import hashlib
+import json
 import multiprocessing
-import operator
 
 import pytest
 
+from repro import registry
+from repro.analyze import lint_schedule
 from repro.comm import Communicator, VirtualCluster
 from repro.core.fib import broadcast_time, broadcast_time_postal
 from repro.params import LogPParams, postal
 
 FIG1 = LogPParams(P=8, L=6, o=2, g=4)
+
+#: The planning grid: every root of every rooted collective, k-item
+#: broadcasts on the postal machines, on each (L, o, g) machine.
+GRID_P = (1, 2, 3, 5, 7, 8, 9, 13)
+GRID_MACHINES = ((6, 2, 4), (3, 0, 1), (2, 0, 1), (4, 1, 2))
+GRID_K = (1, 3, 6)
+
+#: sha-256 over every grid plan's (machine, kind, args, sorted
+#: (time, src, dst), cycles, meta) — item labels left out — as the
+#: hand-built planners produced it before Communicator planned through
+#: the registry.
+GRID_TIMING_DIGEST = (
+    "fe09d797ad9a4b40737e623f07e0ec2db7ce4d0c5ee3526f2f7ef137e6db209d"
+)
+
+
+def _grid_requests():
+    for P in GRID_P:
+        for L, o, g in GRID_MACHINES:
+            params = LogPParams(P=P, L=L, o=o, g=g)
+            for root in range(P):
+                for kind in ("bcast", "scatter", "gather", "reduce"):
+                    yield params, kind, (root,)
+                if params.is_postal:
+                    for k in GRID_K:
+                        yield params, "kitem_bcast", (k, root)
+            for kind in ("allreduce", "allgather", "alltoall"):
+                yield params, kind, ()
+
+
+@pytest.fixture(scope="module")
+def grid_plans():
+    """``(params, kind, args, plan)`` per grid request; ``plan`` is
+    ``None`` where the Communicator refuses with ``ValueError``."""
+    out = []
+    for params, kind, args in _grid_requests():
+        try:
+            plan = getattr(Communicator(params), kind)(*args)
+        except ValueError:
+            plan = None
+        out.append((params, kind, args, plan))
+    return out
 
 
 class TestCommunicatorPlans:
@@ -62,10 +107,85 @@ class TestCommunicatorPlans:
         assert plan.meta["algorithm"] == "reduce+bcast"
         assert plan.cycles == 2 * broadcast_time_postal(7, 3)
 
+    def test_allreduce_fallback_carries_the_dependency(self):
+        params = postal(P=7, L=3)
+        plan = Communicator(params).allreduce()
+        B = broadcast_time_postal(7, 3)
+        diagnostics = lint_schedule(plan.schedule).diagnostics
+        assert not [d for d in diagnostics if d.rule == "SCHED004"]
+        (item,) = registry.plan("broadcast", params).initial[0]
+        holders = [p for p, items in plan.schedule.initial.items() if item in items]
+        assert holders == [0]
+        assert plan.schedule.source_items[item] == B
+        assert min(op.time for op in plan.schedule.sends if op.item == item) == B
+
     def test_allgather_alltoall(self):
         comm = Communicator(postal(P=5, L=2))
         assert comm.allgather().cycles == 2 + 3  # L + (P-2)g
         assert comm.alltoall().cycles == 2 + 3
+
+
+class TestGridPins:
+    def test_timing_digest(self, grid_plans):
+        digest = hashlib.sha256()
+        for params, kind, args, plan in grid_plans:
+            row = [params.P, params.L, params.o, params.g, kind, list(args)]
+            if plan is None:
+                row.append("ValueError")
+            else:
+                sends = [(op.time, op.src, op.dst) for op in plan.schedule.sends]
+                row += [sorted(sends), plan.cycles, plan.meta]
+            digest.update(json.dumps(row, sort_keys=True).encode())
+        assert sum(plan is not None for *_, plan in grid_plans) == 1146
+        assert digest.hexdigest() == GRID_TIMING_DIGEST
+
+    @pytest.mark.parametrize(
+        "machine", [postal(P=1, L=3), LogPParams(P=1, L=6, o=2, g=4)]
+    )
+    def test_single_rank_answers(self, machine):
+        comm = Communicator(machine)
+        plans = [
+            comm.bcast(),
+            comm.scatter(),
+            comm.gather(),
+            comm.reduce(),
+            comm.allreduce(),
+            comm.allgather(),
+            comm.alltoall(),
+        ]
+        assert [plan.cycles for plan in plans] == [0] * 7
+        assert all(plan.schedule.num_sends == 0 for plan in plans)
+        with pytest.raises(ValueError):
+            comm.kitem_bcast(3)
+
+    def test_no_dead_sends_or_lint_errors(self, grid_plans):
+        for params, kind, args, plan in grid_plans:
+            if plan is None:
+                continue
+            report = lint_schedule(plan.schedule)
+            assert not report.errors, (params, kind, args)
+            assert "SCHED004" not in {d.rule for d in report.diagnostics}, (
+                params, kind, args,
+            )
+
+    @pytest.mark.parametrize(
+        "kind, spec, extra",
+        [
+            ("bcast", "broadcast", {}),
+            ("reduce", "reduction", {}),
+            ("kitem_bcast", "kitem", {"k": 3}),
+            ("allgather", "all-to-all", {}),
+            ("allreduce", "allreduce", {}),
+        ],
+    )
+    def test_registry_backed_plans_lint_like_the_registry(self, kind, spec, extra):
+        params = postal(P=9, L=3)
+        plan = getattr(Communicator(params), kind)(*extra.values())
+        expected = registry.plan(spec, params, **extra)
+        assert plan.schedule == expected
+        assert lint_schedule(plan.schedule).diagnostics == (
+            lint_schedule(expected).diagnostics
+        )
 
 
 class TestVirtualClusterData:
@@ -112,6 +232,11 @@ class TestVirtualClusterData:
         cluster = VirtualCluster(postal(P=7, L=3))
         results, _ = cluster.allreduce([1] * 7)
         assert results == [7] * 7
+
+    def test_allreduce_fallback_values_off_postal(self):
+        cluster = VirtualCluster(LogPParams(P=7, L=6, o=2, g=4))
+        results, cycles = cluster.allreduce([3, 1, 4, 1, 5, 9, 2], op=max)
+        assert results == [9] * 7 and cycles == 48
 
     def test_allgather_values(self):
         cluster = VirtualCluster(postal(P=4, L=2))

@@ -6,13 +6,10 @@ from repro.core.continuous.assignment import solve, solve_instance
 from repro.core.continuous.relative import instance_for
 from repro.core.continuous.schedule import (
     GBlock,
-    GeneralAssignment,
     continuous_delay_lower_bound,
-    expand,
     expand_assignment,
     general_form,
 )
-from repro.core.fib import reachable_postal
 from repro.schedule.analysis import item_delays
 from repro.sim.validate import replay
 from repro.sim.validate import is_single_sending, single_reception_violations

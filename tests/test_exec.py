@@ -22,7 +22,6 @@ from repro.exec import (
     ExecError,
     ExecPlan,
     ExecTimeout,
-    InprocTransport,
     LoweringError,
     MpTransport,
     RecvInstr,
@@ -35,7 +34,7 @@ from repro.exec import (
     sim_delivered,
     verify_against_sim,
 )
-from repro.exec.program import KIND_RECV, KIND_SEND, RankProgram
+from repro.exec.program import KIND_RECV, RankProgram
 from repro.exec.trace import ExecTrace, delivered_json
 from repro.exec.transport import format_blocked, format_rank_set
 from repro.params import LogPParams, postal

@@ -1,7 +1,5 @@
 """Tests for the experiments layer (figures, sweeps, ablations)."""
 
-import pytest
-
 from repro.experiments.ablations import (
     buffered_destination_ablation,
     pruning_strategy_ablation,

@@ -5,8 +5,6 @@ the core algorithms, execute it on the simulator substrate, measure with
 the analysis tools, and compare against the closed-form bounds.
 """
 
-import pytest
-
 from repro import (
     LogPParams,
     broadcast_time_postal,

@@ -19,7 +19,6 @@ from repro.core.kitem.single_sending import (
     pruned_tree_assignment,
     single_sending_schedule,
 )
-from repro.sim.validate import replay
 from repro.sim.validate import is_single_sending
 from tests.conftest import assert_kitem_complete
 

@@ -18,7 +18,6 @@ from repro.machine import (
     FlatMachine,
     HierarchicalMachine,
     hier_broadcast_schedule,
-    hier_reduction_schedule,
     two_level_broadcast_plan,
 )
 from repro.params import LogPParams

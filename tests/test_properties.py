@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) for core invariants."""
 
-from collections import Counter
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,9 +1,6 @@
 """Tests for relative addressing and the per-step multiset (Section 3.2)."""
 
-import pytest
-
 from repro.core.continuous.relative import (
-    Instance,
     delay_of_offset,
     instance_for,
     letter_name,

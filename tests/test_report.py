@@ -1,7 +1,5 @@
 """Tests for the Markdown machine-report generator."""
 
-import pytest
-
 from repro.params import LogPParams, postal
 from repro.report import machine_report
 

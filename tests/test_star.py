@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.continuous.schedule import expand
-from repro.core.fib import broadcast_time_postal
 from repro.core.kitem.bounds import kitem_upper_bound
 from repro.core.kitem.star import (
     _near_complete_mapping,

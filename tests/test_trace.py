@@ -8,7 +8,7 @@ from repro.core.summation.schedule import summation_schedule
 from repro.machine.model import machine_from_spec
 from repro.params import LogPParams, postal
 from repro.schedule.analysis import completion_time
-from repro.sim.trace import Activity, Trace, trace_from_schedule
+from repro.sim.trace import Trace, trace_from_schedule
 
 FIG1 = LogPParams(P=8, L=6, o=2, g=4)
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core.continuous.relative import uppercase_offset
 from repro.core.continuous.words import (
     enumerate_legal_words,
     family_f1,
