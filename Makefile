@@ -61,7 +61,8 @@ check:
 # Real-transport execution smoke (S37): every registered collective is
 # lowered to per-rank programs, executed on the inproc and mp
 # transports, and byte-verified against the simulator's delivered
-# multiset; then the P=256 broadcast on both transports.
+# multiset; then the P=256 broadcast on both transports, and the P=256
+# all-to-all on mp, whose jobs and batches span several pipe buffers.
 run-smoke:
 	@for t in inproc mp; do \
 		for b in $$(PYTHONPATH=src $(PY) -m repro.cli builders --names); do \
@@ -75,6 +76,9 @@ run-smoke:
 		PYTHONPATH=src $(PY) -m repro.cli run --builder bcast \
 			-P 256 -L 4 --o 1 --g 2 --transport $$t --verify || exit 1; \
 	done
+	@echo "== run --builder all-to-all -P 256 --transport mp"
+	@PYTHONPATH=src $(PY) -m repro.cli run --builder all-to-all \
+		-P 256 -L 4 --o 1 --g 2 --transport mp --verify
 
 bench:
 	PYTHONPATH=src $(PY) benchmarks/harness.py --out BENCH.json

@@ -11,9 +11,11 @@ protocol, all driving ranks through one cooperative scheduler
   count by orders of magnitude.  A send to a rank of the same worker is
   delivered in memory; sends to other workers are batched, one
   ``put`` per peer worker per scheduling round, on that worker's
-  inbound ``multiprocessing.Queue``.  The pool is forked on the first
-  run and lives as long as the transport instance: later runs only ship
-  each used worker one pickled job.
+  inbox: a pipe that only its owner reads and that writers fill with
+  length-framed pickles from their own thread (:class:`_Inbox`), so no
+  process of the pool runs a second thread.  The pool is forked on the
+  first run and lives as long as the transport instance: later runs
+  only ship each used worker one pickled job.
 * ``mpi`` — one program per MPI rank via mpi4py; constructing it
   without mpi4py raises :class:`TransportUnavailable` so callers and
   test suites skip cleanly.
@@ -30,10 +32,13 @@ import multiprocessing
 import os
 import pickle
 import queue
+import select
 import signal
+import struct
 import time
 import traceback
 import weakref
+from collections import deque
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, NoReturn, Protocol
 
 from repro.exec.engine import (
@@ -66,6 +71,12 @@ __all__ = [
 _GRACE_S = 10.0
 # how often an idle mp worker checks that its parent is still alive
 _ORPHAN_POLL_S = 1.0
+# an inbox frame: the pickled message's byte length, then the pickle
+_FRAME_HEADER = struct.Struct("<Q")
+# bytes an inbox owner reads per call: one default pipe buffer
+_READ_CHUNK = 1 << 16
+# how often a writer waiting for an inbox's lock reads its own inbox
+_LOCK_POLL_S = 0.005
 # detail lines shown per blocked rank before truncating; the summary
 # line always covers the full set
 _MAX_BLOCKED_LINES = 8
@@ -256,6 +267,122 @@ def _mp_context() -> Any:
     )
 
 
+class _Inbox:
+    """One process's inbound pipe: many writers, one reading owner.
+
+    ``put`` pickles a message, prefixes its length and writes the frame
+    with non-blocking ``os.write`` from the caller's own thread, holding
+    the inbox's lock so frames never interleave; no feeder thread is
+    involved.  While the pipe is full or another writer holds the lock,
+    the writer reads its own inbox (``drain``) into that inbox's local
+    buffer, so two processes writing large messages to each other at
+    once cannot deadlock.  ``deadline`` bounds how long a stalled put
+    waits (``TimeoutError``).  Only the owner calls ``get``: buffered
+    messages first, then it waits on the read end with ``poll`` (which,
+    unlike ``select``, takes any fd number).  The ends are
+    ``Connection`` objects, which reach a worker under every start
+    method.
+    """
+
+    def __init__(self, ctx: Any) -> None:
+        self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._lock = ctx.Lock()
+        os.set_blocking(self._writer.fileno(), False)
+        self._local()
+
+    def _local(self) -> None:
+        # owner-side state, never shared: bytes short of a whole frame
+        # and whole messages not yet taken
+        self._partial = bytearray()
+        self._messages: deque[Any] = deque()
+        self._poll = select.poll()
+        self._poll.register(self._reader.fileno(), select.POLLIN)
+
+    def __getstate__(self) -> tuple[Any, Any, Any]:
+        return self._reader, self._writer, self._lock
+
+    def __setstate__(self, state: tuple[Any, Any, Any]) -> None:
+        self._reader, self._writer, self._lock = state
+        self._local()
+
+    def close(self) -> None:
+        self._reader.close()
+        self._writer.close()
+
+    def put(
+        self,
+        message: Any,
+        *,
+        drain: _Inbox | None = None,
+        deadline: float = float("inf"),
+    ) -> None:
+        """Send ``message``; ``drain`` is the calling process's own inbox."""
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        frame = memoryview(_FRAME_HEADER.pack(len(data)) + data)
+        while not self._lock.acquire(timeout=_LOCK_POLL_S):
+            _check_deadline(deadline)
+            if drain is not None:
+                drain._take()
+        try:
+            fd = self._writer.fileno()
+            while frame:
+                try:
+                    frame = frame[os.write(fd, frame) :]
+                except BlockingIOError:
+                    self._wait_room(drain, deadline)
+        finally:
+            self._lock.release()
+
+    def _wait_room(self, drain: _Inbox | None, deadline: float) -> None:
+        """Wait until the pipe takes bytes again, reading ``drain``."""
+        _check_deadline(deadline)
+        poller = select.poll()
+        poller.register(self._writer.fileno(), select.POLLOUT)
+        if drain is not None:
+            poller.register(drain._reader.fileno(), select.POLLIN)
+        wait_s = max(0.0, min(deadline - time.monotonic(), _ORPHAN_POLL_S))
+        for fd, _mask in poller.poll(wait_s * 1000):
+            if drain is not None and fd == drain._reader.fileno():
+                drain._read()
+
+    def get(self, timeout: float) -> Any:
+        """The next message; ``queue.Empty`` after ``timeout`` seconds."""
+        deadline = time.monotonic() + timeout
+        while not self._messages:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._poll.poll(remaining * 1000):
+                raise queue.Empty
+            self._read()
+        return self._messages.popleft()
+
+    def _take(self) -> None:
+        """Read what the pipe holds now, if anything, without waiting."""
+        if self._poll.poll(0):
+            self._read()
+
+    def _read(self) -> None:
+        """One read of a readable pipe, split into whole messages."""
+        chunk = os.read(self._reader.fileno(), _READ_CHUNK)
+        if not chunk:
+            raise EOFError("mp inbox: every writer closed the pipe")
+        partial = self._partial
+        partial += chunk
+        start, header = 0, _FRAME_HEADER.size
+        while len(partial) - start >= header:
+            (size,) = _FRAME_HEADER.unpack_from(partial, start)
+            end = start + header + size
+            if end > len(partial):
+                break
+            self._messages.append(pickle.loads(partial[start + header : end]))
+            start = end
+        del partial[:start]
+
+
+def _check_deadline(deadline: float) -> None:
+    if time.monotonic() >= deadline:
+        raise TimeoutError("mp inbox: the pipe stayed full until the deadline")
+
+
 class _Job(NamedTuple):
     """One worker's share of one run; the parent ships it pickled."""
 
@@ -271,8 +398,8 @@ class _Job(NamedTuple):
 
 def _mp_worker_main(
     worker_id: int,
-    inboxes: list[Any],
-    results: Any,
+    inboxes: list[_Inbox],
+    results: _Inbox,
     combine: Combine | None,
     reduce_op: Combine | None,
     fault_ranks: frozenset[int],
@@ -286,6 +413,9 @@ def _mp_worker_main(
     inbound side reads the same inbox, and the worker reports one
     ``(worker_id, status, payload)`` result.  ``combine``/``reduce_op``
     were captured at fork; a job only says whether its run uses them.
+    Every put of a run gives up ``_GRACE_S`` past the run's deadline
+    (``TimeoutError``), so a worker whose reader is gone dies instead
+    of hanging.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # ^C is the parent's
     parent = os.getppid()
@@ -310,10 +440,15 @@ def _mp_worker_main(
             if fault_ranks.intersection(job.programs):
                 os._exit(17)  # fault injection for the failure-path tests
             early = held.pop(job.run_id, [])
+            deadline = time.monotonic() + job.timeout
             status, payload = _serve(
-                job, inbox, inboxes, early, combine, reduce_op
+                job, deadline, inbox, inboxes, early, combine, reduce_op
             )
-            results.put((worker_id, status, payload))
+            results.put(
+                (worker_id, status, payload),
+                drain=inbox,
+                deadline=deadline + _GRACE_S,
+            )
     except Exception:
         # an unreadable message or an unroutable send: die loudly, and
         # the parent's liveness check reports this worker's ranks
@@ -323,8 +458,9 @@ def _mp_worker_main(
 
 def _serve(
     job: _Job,
-    inbox: Any,
-    inboxes: list[Any],
+    deadline: float,
+    inbox: _Inbox,
+    inboxes: list[_Inbox],
     early: list[list[Routed]],
     combine: Combine | None,
     reduce_op: Combine | None,
@@ -334,7 +470,9 @@ def _serve(
 
     def ship(batch: list[Routed]) -> None:
         for worker, part in _split(batch, route.__getitem__).items():
-            inboxes[worker].put((run_id, part))
+            inboxes[worker].put(
+                (run_id, part), drain=inbox, deadline=deadline + _GRACE_S
+            )
 
     def wait(timeout: float) -> list[Routed]:
         if early:
@@ -355,13 +493,13 @@ def _serve(
         combine=combine if job.use_combine else None,
         accumulators=job.accumulators,
         reduce_op=reduce_op if job.use_reduce else None,
-        deadline=time.monotonic() + job.timeout,
+        deadline=deadline,
         ship=ship,
         wait=wait,
     )
 
 
-def _stop_pool(procs: list[Any], queues: list[Any]) -> None:
+def _stop_pool(procs: list[Any], inboxes: list[_Inbox]) -> None:
     for proc in procs:
         proc.terminate()
     for proc in procs:
@@ -369,12 +507,17 @@ def _stop_pool(procs: list[Any], queues: list[Any]) -> None:
         if proc.is_alive():
             proc.kill()
             proc.join()
-    for q in queues:
-        q.close()
+        proc.close()
+    for inbox in inboxes:
+        inbox.close()
 
 
 class _MpPool:
-    """Forked workers, their inboxes and the shared result queue.
+    """Forked workers, one :class:`_Inbox` each and the results inbox.
+
+    The parent writes jobs to the workers' inboxes and reads the
+    results inbox; workers write batches to each other's inboxes and
+    results to the parent's.
 
     The workers captured ``combine``/``reduce_op`` at fork, so a run
     may use this pool only if its non-``None`` callables are those.
@@ -393,8 +536,8 @@ class _MpPool:
         ctx = _mp_context()
         self.combine = combine
         self.reduce_op = reduce_op
-        self.inboxes = [ctx.Queue() for _ in range(size)]
-        self.results = ctx.Queue()
+        self.inboxes = [_Inbox(ctx) for _ in range(size)]
+        self.results = _Inbox(ctx)
         self.procs = [
             ctx.Process(
                 target=_mp_worker_main,
@@ -434,7 +577,11 @@ class MpTransport:
     lists, stores and accumulators) and the first ``min(workers, ranks)``
     workers host rank groups.  Each worker runs its group in one
     cooperative scheduler, delivers same-worker sends in memory and
-    ships one batch per peer worker per scheduling round.
+    ships one batch per peer worker per scheduling round.  Jobs,
+    batches and results travel as length-framed pickles on one
+    :class:`_Inbox` pipe per worker plus one for results, written from
+    the sender's own thread: each worker is one thread, and a run on a
+    forked pool starts no thread in the parent either.
     ``combine``/``reduce_op`` are captured at fork, so lambdas need no
     pickling; a run whose callables differ from the captured ones
     re-forks the pool.  Any failed run (rank error,
@@ -517,10 +664,14 @@ class MpTransport:
                 self, self.workers, combine, reduce_op, self.fault_ranks
             )
         pool = self._pool
+        deadline = time.monotonic() + timeout + _GRACE_S
         try:
             for inbox, job in zip(pool.inboxes, jobs):
-                inbox.put(job)
-            results = self._collect(pool, groups, timeout)
+                try:
+                    inbox.put(job, drain=pool.results, deadline=deadline)
+                except TimeoutError:
+                    raise _unresponsive(timeout) from None
+            results = self._collect(pool, groups, timeout, deadline)
             return _merge(plan, self.name, timeout, results)
         except BaseException:
             self.close()
@@ -528,11 +679,10 @@ class MpTransport:
 
     @staticmethod
     def _collect(
-        pool: _MpPool, groups: list[list[int]], timeout: float
+        pool: _MpPool, groups: list[list[int]], timeout: float, deadline: float
     ) -> list[tuple[str, Any]]:
         """One ``(status, payload)`` per used worker, in worker order."""
         results: dict[int, tuple[str, Any]] = {}
-        deadline = time.monotonic() + timeout + _GRACE_S
         while len(results) < len(groups):
             try:
                 worker_id, status, payload = pool.results.get(timeout=0.25)
@@ -551,12 +701,16 @@ class MpTransport:
                         f"workers were terminated"
                     )
             if time.monotonic() > deadline:
-                raise ExecTimeout(
-                    f"timeout: mp transport workers unresponsive "
-                    f"{_GRACE_S:.0f}s past the {timeout:.1f}s deadline; "
-                    f"terminating the pool"
-                )
+                raise _unresponsive(timeout)
         return [results[w] for w in range(len(groups))]
+
+
+def _unresponsive(timeout: float) -> ExecTimeout:
+    return ExecTimeout(
+        f"timeout: mp transport workers unresponsive "
+        f"{_GRACE_S:.0f}s past the {timeout:.1f}s deadline; "
+        f"terminating the pool"
+    )
 
 
 class MpiTransport:

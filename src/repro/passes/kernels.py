@@ -156,7 +156,7 @@ def reverse_columns(
     if len(cols) == 0:
         return Schedule(
             params=params,
-            initial=initial or schedule.initial,
+            initial=schedule.initial if initial is None else initial,
             machine=schedule.machine,
         )
     completion = int(cols.arrivals.max())

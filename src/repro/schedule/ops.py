@@ -172,8 +172,10 @@ class Schedule:
     sends:
         All messages; need not be pre-sorted.
     initial:
-        Map ``proc -> set of items`` available at time 0.  Defaults to the
-        single item ``0`` at processor 0 (the classic broadcast setup).
+        Map ``proc -> set of items`` available at time 0.  ``None`` (the
+        default) means the single item ``0`` at processor 0 (the classic
+        broadcast setup); an empty mapping means no processor holds
+        anything.
     computes:
         Optional local-computation ops (summation schedules).
     source_items:
@@ -211,9 +213,9 @@ class Schedule:
         self._params = params
         self._machine = machine
         self._initial: Mapping[int, frozenset[Item]] = (
-            MappingProxyType(dict(zip(initial, map(frozenset, initial.values()))))
-            if initial
-            else _SOURCE_HOLDS_ITEM_0
+            _SOURCE_HOLDS_ITEM_0
+            if initial is None
+            else MappingProxyType(dict(zip(initial, map(frozenset, initial.values()))))
         )
         self.computes = computes if computes is not None else []
         self._source_items: Mapping[Item, int] = (

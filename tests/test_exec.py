@@ -10,6 +10,7 @@ hanging the caller.
 """
 
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -36,6 +37,7 @@ from repro.exec import (
 )
 from repro.exec.program import KIND_RECV, RankProgram
 from repro.exec.trace import ExecTrace, delivered_json
+from repro.exec import transport as transport_module
 from repro.exec.transport import format_blocked, format_rank_set
 from repro.params import LogPParams, postal
 from repro.schedule.columnar import ItemTable
@@ -412,6 +414,72 @@ class TestMpPool:
                 execute(plan, transport=transport, timeout=0.6)
             timer.join(timeout=5.0)
             assert not timer.is_alive()
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_workers_sending_full_pipes_at_each_other(self, workers):
+        # every cross-worker batch is several pipe buffers long, and the
+        # workers ship at the same moment: a writer that blocked on a
+        # full pipe (or on a peer's lock) without reading its own inbox
+        # would deadlock here; 4 workers outnumber the cores of a small
+        # host and contend for each inbox's lock
+        schedule = registry.plan("all-to-all", P=8, L=6, o=2, g=4)
+        payloads = {p: {("a2a", p): bytes([p]) * 200_000} for p in range(8)}
+        with MpTransport(workers=workers) as transport:
+            result = execute(
+                schedule,
+                transport=transport,
+                payloads=payloads,
+                verify=True,
+                timeout=30.0,
+            )
+        assert result.values[3][("a2a", 5)] == payloads[5][("a2a", 5)]
+
+    def test_jobs_and_batches_larger_than_a_pipe(self):
+        # P=256 jobs (~400 KB) and batches (~330 KB) span several
+        # 64 KiB pipe buffers
+        schedule = registry.plan("all-to-all", P=256, L=4, o=1, g=2)
+        with MpTransport(workers=2) as transport:
+            result = execute(schedule, transport=transport, verify=True)
+        assert result.num_delivered == schedule.num_sends
+
+    def test_pool_runs_under_spawn(self, monkeypatch):
+        monkeypatch.setattr(
+            transport_module,
+            "_mp_context",
+            lambda: multiprocessing.get_context("spawn"),
+        )
+        schedule = registry.plan("broadcast", P=8, L=6, o=2, g=4)
+        with MpTransport(workers=2) as transport:
+            first = execute(schedule, transport=transport, verify=True)
+            pool = _child_pids()
+            second = execute(schedule, transport=transport, verify=True)
+            assert _child_pids() == pool
+        assert first.trace.to_json() == second.trace.to_json()
+
+    def test_mp_runs_start_no_thread(self, monkeypatch):
+        # patched before the fork, so the workers inherit the patch: no
+        # process of the pool may start a thread, in any run
+        schedule = registry.plan("all-to-all", P=8, L=3)
+
+        def no_threads(thread: threading.Thread) -> None:
+            raise AssertionError(f"mp run started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
+        with MpTransport(workers=2) as transport:
+            for _ in range(2):
+                result = execute(schedule, transport=transport, verify=True)
+                assert result.num_delivered == schedule.num_sends
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_closing_the_pool_releases_every_fd(self):
+        schedule = registry.plan("broadcast", P=8, L=6, o=2, g=4)
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(10):
+            with MpTransport(workers=2) as transport:
+                execute(schedule, transport=transport)
+        assert len(os.listdir("/proc/self/fd")) == before
 
     @pytest.mark.parametrize("workers", [0, -2, 1.5, "2", True])
     def test_rejects_bad_worker_counts(self, workers):

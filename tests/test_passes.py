@@ -255,6 +255,16 @@ class TestPassManager:
         )
         replay(red)
 
+    @pytest.mark.parametrize("sends", [0, 1])
+    def test_reverse_keeps_an_explicitly_empty_placement(self, sends):
+        from repro.passes.kernels import reverse_columns
+
+        s = Schedule(params=postal(P=2, L=1), initial={0: {"x"}})
+        if sends:
+            s.add(0, 0, 1, item="x")
+        assert reverse_columns(s, initial={}).initial == {}
+        assert reverse_columns(s, initial=None).initial != {}
+
 
 class TestNormalizationPasses:
     def test_canonicalize_is_idempotent_and_json_invariant(self):

@@ -35,6 +35,11 @@ class TestSchedule:
         s = Schedule(params=postal(P=2, L=1))
         assert s.initial == {0: {0}}
 
+    def test_empty_initial_stays_empty(self):
+        # only None means the default placement; {} holds nothing
+        s = Schedule(params=postal(P=2, L=1), initial={})
+        assert s.initial == {}
+
     def test_add_and_iter(self):
         s = Schedule(params=postal(P=3, L=1))
         s.add(2, 0, 1, item=0)
