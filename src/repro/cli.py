@@ -68,12 +68,8 @@ import sys
 
 from repro import registry
 from repro.baselines.trees import baseline_broadcast
-from repro.core.combining import combining_time, simulate_combining
 from repro.core.fib import kitem_lower_bound
 from repro.core.kitem.bounds import kitem_upper_bound, single_sending_lower_bound
-from repro.core.kitem.single_sending import single_sending_schedule
-from repro.core.single_item import optimal_broadcast_schedule
-from repro.core.summation.capacity import min_summation_time
 from repro.core.summation.schedule import summation_schedule, verify_summation
 from repro.core.tree import optimal_tree
 from repro.params import LogPParams, postal
@@ -111,14 +107,6 @@ def _usage_error(msg: str) -> int:
     """One-line diagnostic on stderr, exit status 2 (argparse convention)."""
     print(f"repro: error: {msg}", file=sys.stderr)
     return 2
-
-
-def _check_spec(name: str, params: LogPParams, **extra: int) -> None:
-    """Run spec ``name``'s machine and parameter checks (``ValueError``)."""
-    spec = registry.get_spec(name)
-    if spec.check_machine is not None:
-        spec.check_machine(params)
-    spec.validate_extra(params, extra)
 
 
 def _spec_extra(
@@ -202,10 +190,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_plan_bcast(args: argparse.Namespace) -> int:
     try:
         machine = _machine(args)
-        _check_spec("broadcast", machine)
+        schedule = registry.plan("broadcast", machine)
     except ValueError as exc:
         return _usage_error(str(exc))
-    schedule = optimal_broadcast_schedule(machine)
     replay(schedule)
     delays = broadcast_delay_per_proc(schedule)
     print(f"optimal broadcast on {machine}: B(P) = {max(delays.values())} cycles")
@@ -224,10 +211,9 @@ def cmd_plan_bcast(args: argparse.Namespace) -> int:
 
 def cmd_plan_kitem(args: argparse.Namespace) -> int:
     try:
-        _check_spec("kitem", postal(P=args.P, L=args.L), k=args.k)
+        schedule = registry.plan("kitem", postal(P=args.P, L=args.L), k=args.k)
     except ValueError as exc:
         return _usage_error(str(exc))
-    schedule = single_sending_schedule(args.k, args.P, args.L)
     replay(schedule)
     done = max(item_completion_times(schedule, set(range(args.P))).values())
     print(
@@ -248,9 +234,10 @@ def cmd_plan_sum(args: argparse.Namespace) -> int:
     spec = registry.get_spec("summation")
     try:
         machine = _machine(args)
-        if spec.check_machine is not None:
-            spec.check_machine(machine)
-        t = args.t if args.t is not None else min_summation_time(args.n, machine)
+        request = registry.canonical_request(
+            spec.name, machine, **_spec_extra(spec, args)
+        )
+        t = dict(request.extra)["t"]
         plan = summation_schedule(t, machine)
     except ValueError as exc:
         return _usage_error(str(exc))
@@ -270,16 +257,15 @@ def cmd_plan_sum(args: argparse.Namespace) -> int:
 
 def cmd_plan_allreduce(args: argparse.Namespace) -> int:
     try:
-        _check_spec("allreduce", postal(P=args.P, L=args.L))
-        T = combining_time(args.P, args.L)
+        schedule = registry.plan("allreduce", postal(P=args.P, L=args.L))
     except ValueError as exc:
         return _usage_error(str(exc))
-    run = simulate_combining(T, args.L)
-    replay(run.schedule)
-    assert run.complete()
+    replay(schedule)
+    T = registry.completion(schedule)
     print(
         f"combining broadcast (all-reduce): P={args.P}, L={args.L}\n"
-        f"  completes in T = {T} postal steps on P(T) = {run.P} processors\n"
+        f"  completes in T = {T} postal steps on P(T) = "
+        f"{schedule.params.P} processors\n"
         f"  (reduce-then-broadcast would take {2 * T})"
     )
     return 0

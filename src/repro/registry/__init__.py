@@ -1,7 +1,7 @@
 """Unified collective registry and planner.
 
-One lookup table for every collective the repo builds, and one entry
-point to build them::
+One lookup table for every collective the repo builds, and one front
+door to build them::
 
     from repro.registry import plan
 
@@ -9,10 +9,16 @@ point to build them::
     sched = plan("kitem", P=10, L=3, k=8)
     sched = plan("summation", P=8, L=5, o=2, g=4, n=79)
 
-:func:`plan` resolves the collective by canonical name or alias,
-validates the machine and the collective-specific parameters against the
-spec's declared domain (uniform one-line ``ValueError``\\ s instead of
-builder-specific crashes), and runs the builder.
+Every request goes through the same two steps.
+:func:`canonical_request` resolves the collective by canonical name or
+alias, validates the machine and the collective-specific parameters
+against the spec's declared domain (uniform one-line, spec-prefixed
+``ValueError``\\ s instead of builder-specific crashes) and returns a
+hashable :class:`PlanRequest`; :func:`build` runs the spec's builder on
+it.  :func:`plan` is the two composed, :func:`lower_bound` validates
+through the same door, and the plan service (:mod:`repro.serve`) keys
+and builds the same :class:`PlanRequest`, so every surface rejects a
+bad request with the same line.
 
 The same records drive the CLI's builder tables, the bench harness, the
 figure scripts and SCHED008's closed-form optimality bounds
@@ -22,6 +28,7 @@ figure scripts and SCHED008's closed-form optimality bounds
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.params import LogPParams
@@ -41,12 +48,18 @@ __all__ = [
     "spec_names",
     "all_names",
     "get_spec",
+    "PlanRequest",
+    "canonical_request",
+    "build",
     "plan",
     "lower_bound",
     "closed_form_bound",
     "completion",
     "figure_builders",
 ]
+
+MATERIALIZED = "materialized"
+IMPLICIT = "implicit"
 
 _BY_NAME: dict[str, CollectiveSpec] = {}
 for _spec in SPECS:
@@ -87,30 +100,38 @@ def get_spec(name: str) -> CollectiveSpec:
     return spec
 
 
-def _machine_from_kwargs(kwargs: dict[str, Any]) -> LogPParams:
-    P = kwargs.pop("P", None)
-    if P is None:
-        raise ValueError(
-            "plan: machine parameters missing — pass params=LogPParams(...) "
-            "or at least P= and L="
-        )
-    L = kwargs.pop("L", None)
-    if L is None:
-        raise ValueError("plan: L= is required when P= is given")
-    return LogPParams(P=P, L=L, o=kwargs.pop("o", 0), g=kwargs.pop("g", 1))
+@dataclass(frozen=True)
+class PlanRequest:
+    """A fully canonicalized plan request — hashable, alias-free.
+
+    ``extra`` is the spec-validated collective parameter dict as a
+    sorted tuple of pairs; ``family`` is only set for implicit storage
+    (defaulted to the builder's default so ``family=None`` and the
+    explicit default produce the same key).
+    """
+
+    collective: str
+    params: LogPParams
+    extra: tuple[tuple[str, int], ...] = ()
+    storage: str = MATERIALIZED
+    family: str | None = None
+    #: Optional machine topology (a frozen
+    #: ``repro.machine.model.MachineModel``).  ``None`` means the classic
+    #: flat machine; its canonical doc joins the serve layer's request
+    #: key, so equal flat params with different topologies never collide.
+    machine: Any | None = None
 
 
-def plan(
+def canonical_request(
     name: str,
     params: LogPParams | None = None,
     *,
-    storage: str = "materialized",
-    cache: Any | None = None,
-    execute: str | None = None,
+    storage: str = MATERIALIZED,
+    family: str | None = None,
     machine: Any | None = None,
     **kwargs: Any,
-) -> Schedule | ImplicitSchedule:
-    """Build the named collective's schedule.
+) -> PlanRequest:
+    """Validate and canonicalize a plan request (the surface of :func:`plan`).
 
     Machine parameters come either as ``params=LogPParams(...)`` or as
     the keywords ``P``/``L``/``o``/``g`` (postal defaults ``o=0, g=1``).
@@ -123,86 +144,62 @@ def plan(
     collectives accept a :class:`~repro.machine.model.FlatMachine`
     (identical semantics, ignored) and reject anything else.
     Collective-specific parameters (``k``, ``n``, ``t``) are validated
-    against the spec's declared domain.
+    against the spec's declared domain and normalized (summation carries
+    both ``n`` and ``t``).
 
-    ``storage="implicit"`` returns an O(log P)-state
-    :class:`~repro.schedule.implicit.ImplicitSchedule` instead of
-    materialized columns, for specs with a closed-form builder
-    (broadcast and reduction); an optional ``family=`` keyword selects
-    the tree family (``"optimal"``/``"binomial"``).
+    ``storage="implicit"`` asks for an O(log P)-state
+    :class:`~repro.schedule.implicit.ImplicitSchedule`, for specs with a
+    closed-form builder (broadcast and reduction); ``family=`` selects
+    the tree family (``"optimal"``, the default, or ``"binomial"``).
 
-    ``cache=`` routes the request through a
-    :class:`~repro.serve.PlanService` (the content-addressed plan
-    cache): hits deserialize the cached canonical plan JSON instead of
-    rebuilding.  Cached plans round-trip through serialization, so they
-    come back object-stored with redundant time-0 ``source_items``
-    normalized away — byte-identical canonical JSON, not identical
-    Python object graphs.  ``storage="implicit"`` (an O(log P) build,
-    cheaper than any lookup) is rejected alongside ``cache=``.
-
-    ``execute=`` names a transport (``"inproc"``/``"mp"``/``"mpi"``):
-    the built schedule is lowered to per-rank programs, run on that
-    transport, and verified against the simulator (delivered multisets
-    byte-identical) before being returned — "plan it, then prove it
-    runs".  Implicit storage is rejected with ``execute=`` (execution
-    is inherently O(num_sends); materialize first).
+    This is the only request validator: anything out of domain raises a
+    one-line ``ValueError`` prefixed with the canonical spec name.
     """
     spec = get_spec(name)
-    if machine is not None and not spec.machine_aware and not machine.is_flat:
-        aware = ", ".join(s.name for s in SPECS if s.machine_aware)
-        raise ValueError(
-            f"{spec.name}: does not accept a machine topology "
-            f"(machine-aware collectives: {aware})"
-        )
-    if machine is not None and storage == "implicit":
-        raise ValueError(
-            f"{spec.name}: machine= does not apply to storage='implicit' "
-            f"(per-edge pricing needs materialized columns)"
-        )
-    if execute is not None and storage == "implicit":
-        raise ValueError(
-            f"{spec.name}: execute= does not apply to storage='implicit' "
-            f"(execution is O(num_sends); build materialized or call "
-            f"repro.exec.execute on schedule.materialize())"
-        )
-    if cache is not None:
-        if storage == "implicit":
+    if machine is not None:
+        if not spec.machine_aware and not machine.is_flat:
+            aware = ", ".join(s.name for s in SPECS if s.machine_aware)
             raise ValueError(
-                f"{spec.name}: cache= does not apply to storage='implicit' "
-                f"(implicit plans are O(log P) to build; the serve layer "
-                f"caches their materialized form instead)"
+                f"{spec.name}: does not accept a machine topology "
+                f"(machine-aware collectives: {aware})"
             )
-        from repro.schedule.serialize import schedule_from_json
-        from repro.serve import canonical_request
-
-        if machine is not None and params is None:
+        if storage == IMPLICIT:
+            raise ValueError(
+                f"{spec.name}: machine= does not apply to "
+                f"storage='implicit' (per-edge pricing needs materialized "
+                f"columns)"
+            )
+        if params is None:
             params = machine.flat_params
-        request = canonical_request(spec.name, params, machine=machine, **kwargs)
-        return _maybe_execute(
-            schedule_from_json(cache.plan_json(request)), execute
-        )
-    if params is None and machine is not None:
-        params = machine.flat_params
+        elif params != machine.flat_params:
+            raise ValueError(
+                f"{spec.name}: params {params} conflict with the machine's "
+                f"flat envelope {machine.flat_params}"
+            )
     if params is None:
-        params = _machine_from_kwargs(kwargs)
+        P = kwargs.pop("P", None)
+        if P is None:
+            raise ValueError(
+                f"{spec.name}: machine parameters missing — pass "
+                f"params=LogPParams(...) or at least P= and L="
+            )
+        L = kwargs.pop("L", None)
+        if L is None:
+            raise ValueError(f"{spec.name}: L= is required when P= is given")
+        params = LogPParams(
+            P=P, L=L, o=kwargs.pop("o", 0), g=kwargs.pop("g", 1)
+        )
     elif "P" in kwargs or "L" in kwargs:
         raise ValueError(
             f"{spec.name}: give either params=LogPParams(...) or "
             f"P=/L= keywords, not both"
         )
-    if machine is not None and params != machine.flat_params:
+    if storage not in (MATERIALIZED, IMPLICIT):
         raise ValueError(
-            f"{spec.name}: params {params} conflict with the machine's "
-            f"flat envelope {machine.flat_params}"
+            f"{spec.name}: storage must be {MATERIALIZED!r} or "
+            f"{IMPLICIT!r}, got {storage!r}"
         )
-    if storage not in ("materialized", "implicit"):
-        raise ValueError(
-            f"{spec.name}: storage must be 'materialized' or 'implicit', "
-            f"got {storage!r}"
-        )
-    if spec.check_machine is not None:
-        spec.check_machine(params)
-    if storage == "implicit":
+    if storage == IMPLICIT:
         if spec.implicit_build is None:
             supported = ", ".join(
                 s.name for s in SPECS if s.implicit_build is not None
@@ -211,47 +208,74 @@ def plan(
                 f"{spec.name}: no implicit builder "
                 f"(storage='implicit' is supported by: {supported})"
             )
-        family = kwargs.pop("family", None)
-        extra = spec.validate_extra(params, kwargs)
-        if family is not None:
-            extra["family"] = family
-        return spec.implicit_build(params, **extra)
+        if family is None:
+            family = "optimal"
+        else:
+            from repro.schedule.implicit import implicit_families
+
+            if family not in implicit_families():
+                known = ", ".join(implicit_families())
+                raise ValueError(
+                    f"{spec.name}: unknown implicit family {family!r} "
+                    f"(known: {known})"
+                )
+    elif family is not None:
+        raise ValueError(
+            f"{spec.name}: family= only applies to storage='implicit'"
+        )
+    if spec.check_machine is not None:
+        spec.check_machine(params)
     extra = spec.validate_extra(params, kwargs)
+    return PlanRequest(
+        collective=spec.name,
+        params=params,
+        extra=tuple(sorted(extra.items())),
+        storage=storage,
+        family=family,
+        machine=machine,
+    )
+
+
+def build(request: PlanRequest) -> Schedule | ImplicitSchedule:
+    """Run the spec's builder on an already canonical request.
+
+    The only caller of ``spec.build`` and ``spec.implicit_build``:
+    ``request.extra`` is validated *and normalized* by
+    :func:`canonical_request`, so nothing is checked again here.
+    """
+    spec = _BY_NAME[request.collective]
+    extra = dict(request.extra)
+    if request.storage == IMPLICIT:
+        assert spec.implicit_build is not None  # canonical_request checked
+        return spec.implicit_build(request.params, family=request.family, **extra)
     if spec.machine_aware:
         # machines travel outside the int-only extra_params validation
-        extra["machine"] = machine
-    return _maybe_execute(spec.build(params, **extra), execute)
+        extra["machine"] = request.machine
+    return spec.build(request.params, **extra)
 
 
-def _maybe_execute(schedule: Schedule, execute: str | None) -> Schedule:
-    """Run the built schedule on a transport with verification on.
+def plan(
+    name: str, params: LogPParams | None = None, **kwargs: Any
+) -> Schedule | ImplicitSchedule:
+    """Build the named collective's schedule.
 
-    Raises the exec stack's errors unchanged: ``ValueError`` for an
-    unknown transport name,
-    :class:`~repro.exec.errors.TransportUnavailable` when the backend
-    cannot run here, and
-    :class:`~repro.exec.errors.ExecVerificationError` if the delivered
-    multiset diverges from the simulator's.
+    ``build(canonical_request(name, params, **kwargs))``: see
+    :func:`canonical_request` for the accepted keywords.  To cache the
+    plan, ask a :class:`~repro.serve.PlanService` instead; to run it,
+    hand the schedule to :func:`repro.exec.execute` with ``verify=True``.
     """
-    if execute is None:
-        return schedule
-    from repro.exec import execute as _run
-
-    _run(schedule, transport=execute, verify=True)
-    return schedule
+    return build(canonical_request(name, params, **kwargs))
 
 
 def lower_bound(
     name: str, params: LogPParams, **kwargs: Any
 ) -> int | None:
     """The spec's closed-form lower bound for this instance, if any."""
-    spec = get_spec(name)
+    request = canonical_request(name, params, **kwargs)
+    spec = _BY_NAME[request.collective]
     if spec.lower_bound is None:
         return None
-    if spec.check_machine is not None:
-        spec.check_machine(params)
-    extra = spec.validate_extra(params, kwargs)
-    return spec.lower_bound(params, **extra)
+    return spec.lower_bound(request.params, **dict(request.extra))
 
 
 def closed_form_bound(query: BoundQuery) -> tuple[int, str] | None:

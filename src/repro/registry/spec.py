@@ -33,8 +33,8 @@ class ParamField:
     ``default=None`` marks the parameter required (unless the spec's
     ``normalize_extra`` hook fills it, as summation's ``n``/``t`` pair
     does); ``minimum`` is the smallest legal value, enforced by
-    :func:`~repro.registry.plan` with a uniform ``ValueError`` before
-    the builder runs.
+    :func:`~repro.registry.canonical_request` with a uniform
+    ``ValueError`` before the builder runs.
     """
 
     name: str
@@ -86,7 +86,7 @@ class CollectiveSpec:
     #: The builder accepts a ``machine=`` topology (a
     #: ``repro.machine.model.MachineModel``, routed outside the int-only
     #: ``extra_params`` validation).  Non-aware specs reject non-flat
-    #: machines at :func:`~repro.registry.plan` time.
+    #: machines at :func:`~repro.registry.canonical_request` time.
     machine_aware: bool = False
     workload: str | None = None  # lint workload whose closed form this spec owns
     lint_bound: Callable[[BoundQuery], tuple[int, str] | None] | None = None

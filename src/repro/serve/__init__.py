@@ -6,8 +6,9 @@ measurements, PAPERS.md cs/0408034) concentrates on a small set of
 recurring ``(collective, machine)`` points, so this package puts a
 content-addressed cache in front of the planner and serves it:
 
-* :mod:`repro.serve.keys` — canonical request keys (alias-normalized)
-  and content hashing of canonical plan JSON;
+* :mod:`repro.serve.keys` — request keys over the registry's canonical
+  :class:`~repro.registry.PlanRequest` and content hashing of canonical
+  plan JSON;
 * :mod:`repro.serve.cache` — bounded in-memory LRU over an atomic,
   corruption-tolerant on-disk tier that stores each distinct plan once;
 * :mod:`repro.serve.service` — :class:`PlanService` with ``plan_json``
@@ -35,9 +36,7 @@ drives a Zipf request mix over thousands of points; the recorded gate
 from repro.serve.cache import DiskCache, LRUCache, PlanCache
 from repro.serve.http import PlanServer, serve_http
 from repro.serve.keys import (
-    PlanRequest,
     build_plan,
-    canonical_request,
     content_hash,
     plan_content,
     request_from_mapping,
@@ -47,8 +46,6 @@ from repro.serve.keys import (
 from repro.serve.service import PlanService, core_cache_stats
 
 __all__ = [
-    "PlanRequest",
-    "canonical_request",
     "request_from_mapping",
     "request_key",
     "request_key_hash",

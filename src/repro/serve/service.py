@@ -26,11 +26,10 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from repro.registry import PlanRequest, canonical_request
 from repro.serve.cache import PlanCache
 from repro.serve.keys import (
-    PlanRequest,
     build_plan,
-    canonical_request,
     content_hash,
     request_from_mapping,
     request_key,

@@ -36,7 +36,7 @@ from typing import Hashable
 
 from repro.schedule.ops import Schedule
 from repro.sim.trace import Trace, trace_from_schedule
-from repro.sim.validate_np import plan_violations, violations_np
+from repro.sim.validate_np import plan_violations
 
 __all__ = [
     "violations",
@@ -49,33 +49,30 @@ __all__ = [
 Item = Hashable
 
 
-def violations(schedule: Schedule, check_capacity: bool = True) -> list[str]:
+def violations(schedule: Schedule) -> list[str]:
     """Return all LogP-model violations in ``schedule`` (empty if legal).
 
-    The full check is evaluated once per plan (:func:`plan_violations`);
-    ``check_capacity=False`` runs the kernel without the capacity check.
+    The check is evaluated once per plan (:func:`plan_violations`).
     """
-    if check_capacity:
-        return list(plan_violations(schedule))
-    return violations_np(schedule, check_capacity=False)
+    return list(plan_violations(schedule))
 
 
-def assert_valid(schedule: Schedule, check_capacity: bool = True) -> None:
+def assert_valid(schedule: Schedule) -> None:
     """Raise ``ValueError`` with all violations if the schedule is illegal."""
-    problems = violations(schedule, check_capacity=check_capacity)
+    problems = violations(schedule)
     if problems:
         preview = "\n  ".join(problems[:10])
         more = f"\n  ... and {len(problems) - 10} more" if len(problems) > 10 else ""
         raise ValueError(f"illegal LogP schedule:\n  {preview}{more}")
 
 
-def replay(schedule: Schedule, check_capacity: bool = True) -> Trace:
+def replay(schedule: Schedule) -> Trace:
     """Validate ``schedule`` against the LogP model and return its trace.
 
     Raises ``ValueError`` (with every violation listed) if the schedule is
     not a legal execution.
     """
-    assert_valid(schedule, check_capacity=check_capacity)
+    assert_valid(schedule)
     return trace_from_schedule(schedule)
 
 

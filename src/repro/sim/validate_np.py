@@ -142,7 +142,7 @@ def _capacity_peaks(procs: np.ndarray, t0: np.ndarray, t1: np.ndarray):
     return p[starts], np.maximum.reduceat(in_group, starts)
 
 
-def violations_np(schedule: Schedule, check_capacity: bool = True) -> list[str]:
+def violations_np(schedule: Schedule) -> list[str]:
     """Every LogP-model violation in ``schedule`` (empty if legal).
 
     The one legality kernel.  A flat machine (``schedule.machine`` is
@@ -203,22 +203,21 @@ def violations_np(schedule: Schedule, check_capacity: bool = True) -> list[str]:
         )
         if p.o > 0:
             _overhead(times, srcs, recv_starts, dsts, p.o, problems)
-        if check_capacity:
-            cap = p.capacity
-            t0 = times + p.o
-            t1 = t0 + p.L
-            for direction, endpoint in (("from", srcs), ("to", dsts)):
-                procs, peaks = _capacity_peaks(endpoint, t0, t1)
-                for proc in procs[peaks > cap].tolist():
-                    problems.append(
-                        f"capacity: > {cap} messages in transit "
-                        f"{direction} proc {proc}"
-                    )
+        cap = p.capacity
+        t0 = times + p.o
+        t1 = t0 + p.L
+        for direction, endpoint in (("from", srcs), ("to", dsts)):
+            procs, peaks = _capacity_peaks(endpoint, t0, t1)
+            for proc in procs[peaks > cap].tolist():
+                problems.append(
+                    f"capacity: > {cap} messages in transit "
+                    f"{direction} proc {proc}"
+                )
     return problems
 
 
 def plan_violations(schedule: Schedule) -> tuple[str, ...]:
-    """:func:`violations_np` with capacity checks, evaluated once per plan.
+    """:func:`violations_np`, evaluated once per plan.
 
     The verdict is memoized on the schedule (:meth:`Schedule.memo
     <repro.schedule.ops.Schedule.memo>`), so ``violations``,

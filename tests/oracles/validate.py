@@ -35,7 +35,7 @@ def _interval_overlap(a0: int, a1: int, b0: int, b1: int) -> bool:
     return a0 < b1 and b0 < a1
 
 
-def violations_objects(schedule: Schedule, check_capacity: bool = True) -> list[str]:
+def violations_objects(schedule: Schedule) -> list[str]:
     """All LogP-model violations in a flat-machine ``schedule``."""
     params = schedule.params
     problems: list[str] = []
@@ -96,26 +96,25 @@ def violations_objects(schedule: Schedule, check_capacity: bool = True) -> list[
                     )
 
     # Network capacity: <= ceil(L/g) in transit per source and per dest.
-    if check_capacity:
-        cap = params.capacity
-        events: dict[tuple[str, int], list[tuple[int, int]]] = {}
-        for op in schedule.sends:
-            t0 = op.time + params.o
-            t1 = t0 + params.L
-            events.setdefault(("from", op.src), []).append((t0, +1))
-            events.setdefault(("from", op.src), []).append((t1, -1))
-            events.setdefault(("to", op.dst), []).append((t0, +1))
-            events.setdefault(("to", op.dst), []).append((t1, -1))
-        for (direction, proc), evs in events.items():
-            evs.sort()
-            in_flight = 0
-            for _t, delta in evs:
-                in_flight += delta
-                if in_flight > cap:
-                    problems.append(
-                        f"capacity: > {cap} messages in transit "
-                        f"{direction} proc {proc}"
-                    )
-                    break
+    cap = params.capacity
+    events: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    for op in schedule.sends:
+        t0 = op.time + params.o
+        t1 = t0 + params.L
+        events.setdefault(("from", op.src), []).append((t0, +1))
+        events.setdefault(("from", op.src), []).append((t1, -1))
+        events.setdefault(("to", op.dst), []).append((t0, +1))
+        events.setdefault(("to", op.dst), []).append((t1, -1))
+    for (direction, proc), evs in events.items():
+        evs.sort()
+        in_flight = 0
+        for _t, delta in evs:
+            in_flight += delta
+            if in_flight > cap:
+                problems.append(
+                    f"capacity: > {cap} messages in transit "
+                    f"{direction} proc {proc}"
+                )
+                break
 
     return problems

@@ -552,15 +552,10 @@ class TestLowerPassAndRegistry:
         assert isinstance(lower.plan, ExecPlan)
         assert lower.plan.num_sends == 7
 
-    def test_registry_execute_keyword_verifies_and_returns_schedule(self):
-        schedule = registry.plan("broadcast", P=8, L=6, o=2, g=4,
-                                 execute="inproc")
-        assert schedule.num_sends == 7
-
-    def test_registry_execute_rejects_implicit(self):
-        with pytest.raises(ValueError, match="implicit"):
-            registry.plan("broadcast", P=8, L=6, o=2, g=4,
-                          storage="implicit", execute="inproc")
+    def test_registry_plan_executes_verified(self):
+        schedule = registry.plan("broadcast", P=8, L=6, o=2, g=4)
+        result = execute(schedule, transport="inproc", verify=True)
+        assert result.num_delivered == schedule.num_sends == 7
 
 
 class TestRunCli:

@@ -72,9 +72,9 @@ class TestRunMpCounts:
             counts["tables"] += 1
             return build_table(schedule)
 
-        def counted_kernel(schedule, check_capacity=True):
+        def counted_kernel(schedule):
             counts["kernel"] += 1
-            return kernel(schedule, check_capacity=check_capacity)
+            return kernel(schedule)
 
         def counted_detect(schedule):
             counts["workload"] += 1

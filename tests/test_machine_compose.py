@@ -171,7 +171,8 @@ class TestSerializationAndKeys:
         assert "machine" not in json.loads(schedule_to_json(schedule))
 
     def test_cache_keys_distinguish_topologies(self):
-        from repro.serve.keys import canonical_request, request_key
+        from repro.registry import canonical_request
+        from repro.serve.keys import request_key
 
         params = LogPParams(P=64, L=24, o=2, g=6)
         flat_key = request_key(canonical_request("broadcast", params))
@@ -197,11 +198,11 @@ class TestSerializationAndKeys:
         from repro.serve import PlanService
 
         service = PlanService(capacity=8)
-        first = registry.plan(
-            "hier-bcast", machine=REFERENCE, cache=service
+        first = schedule_from_json(
+            service.plan("hier-bcast", machine=REFERENCE)
         )
-        again = registry.plan(
-            "hier-bcast", machine=REFERENCE, cache=service
+        again = schedule_from_json(
+            service.plan("hier-bcast", machine=REFERENCE)
         )
         assert first.machine == REFERENCE
         assert schedule_to_json(first) == schedule_to_json(again)
@@ -223,8 +224,10 @@ class TestExecution:
         result = execute(schedule, transport=transport, verify=True)
         assert result.num_delivered == schedule.num_sends
 
-    def test_plan_execute_keyword(self):
-        schedule = registry.plan(
-            "hier-reduce", machine=REFERENCE, execute="inproc"
-        )
+    def test_planned_hier_reduce_executes_verified(self):
+        from repro.exec import execute
+
+        schedule = registry.plan("hier-reduce", machine=REFERENCE)
         assert schedule.machine == REFERENCE
+        result = execute(schedule, transport="inproc", verify=True)
+        assert result.num_delivered == schedule.num_sends

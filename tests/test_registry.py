@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.analyze import assert_lint_clean
+from repro.machine import FlatMachine
 from repro.params import LogPParams
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.sim.validate import replay
@@ -201,6 +202,83 @@ class TestDomainErrors:
     def test_bad_machine_propagates_params_validation(self):
         with pytest.raises(ValueError):
             registry.plan("broadcast", P=0, L=3)
+
+
+FIG1 = LogPParams(P=8, L=6, o=2, g=4)
+
+BAD_REQUESTS = [
+    pytest.param(
+        {"P": 8}, "broadcast: L= is required when P= is given", id="P-only"
+    ),
+    pytest.param(
+        {"L": 3},
+        "broadcast: machine parameters missing — pass "
+        "params=LogPParams(...) or at least P= and L=",
+        id="L-only",
+    ),
+    pytest.param(
+        {"P": 8, "L": 6, "family": "optimal"},
+        "broadcast: family= only applies to storage='implicit'",
+        id="family-without-implicit",
+    ),
+    pytest.param(
+        {"P": 8, "L": 6, "storage": "implicit", "family": "fft"},
+        "broadcast: unknown implicit family 'fft' (known: binomial, optimal)",
+        id="unknown-family",
+    ),
+    pytest.param(
+        {"P": 8, "L": 6, "k": 2},
+        "broadcast: unknown parameter(s) k (accepted: none)",
+        id="unknown-extra",
+    ),
+    pytest.param(
+        {"params": FIG1, "P": 8, "L": 6},
+        "broadcast: give either params=LogPParams(...) or P=/L= keywords, "
+        "not both",
+        id="params-and-P",
+    ),
+    pytest.param(
+        {"params": LogPParams(P=4, L=3), "machine": FlatMachine(FIG1)},
+        f"broadcast: params {LogPParams(P=4, L=3)} conflict with the "
+        f"machine's flat envelope {FIG1}",
+        id="machine-conflict",
+    ),
+]
+
+
+def _wire_form(request: dict) -> dict:
+    doc = {"collective": "bcast", **request}
+    if "machine" in doc:
+        doc["machine"] = doc["machine"].canonical_doc()
+    return doc
+
+
+class TestFrontDoorAgreement:
+    """Every planning surface rejects a bad request with the same line."""
+
+    @pytest.mark.parametrize("request_kw, message", BAD_REQUESTS)
+    def test_every_surface_raises_the_same_one_line_error(
+        self, request_kw, message
+    ):
+        from repro.serve import PlanService, request_from_mapping
+
+        surfaces = {
+            "plan": lambda: registry.plan("bcast", **request_kw),
+            "canonical_request": lambda: registry.canonical_request(
+                "bcast", **request_kw
+            ),
+            "PlanService.plan": lambda: PlanService().plan(
+                "bcast", **request_kw
+            ),
+            "request_from_mapping": lambda: request_from_mapping(
+                _wire_form(request_kw)
+            ),
+        }
+        assert "\n" not in message
+        for surface, call in surfaces.items():
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message, surface
 
 
 machines = st.builds(

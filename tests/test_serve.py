@@ -26,12 +26,12 @@ from hypothesis import strategies as st
 
 from repro import registry
 from repro.params import LogPParams
+from repro.registry import canonical_request
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.serve import (
     DiskCache,
     LRUCache,
     PlanService,
-    canonical_request,
     content_hash,
     core_cache_stats,
     plan_content,
@@ -343,14 +343,14 @@ class TestPlanService:
         assert batched == [single.plan_json(r) for r in requests]
 
 
-# -- registry wiring ------------------------------------------------------
+# -- cached plans against the registry -----------------------------------
 
 
 class TestRegistryCacheWiring:
     def test_plan_routes_through_the_cache(self):
         service = PlanService(capacity=8)
-        first = registry.plan("broadcast", cache=service, **FIG1)
-        again = registry.plan("bcast", cache=service, **FIG1)
+        first = schedule_from_json(service.plan("broadcast", **FIG1))
+        again = schedule_from_json(service.plan("bcast", **FIG1))
         assert service.planned == 1
         assert service.requests == 2
         assert schedule_to_json(first) == schedule_to_json(again)
@@ -361,17 +361,6 @@ class TestRegistryCacheWiring:
             (op.time, op.src, op.dst, op.item) for op in s.sends
         )
         assert as_tuples(first) == as_tuples(direct)
-
-    def test_cache_rejects_implicit_storage_and_backend_pins(self):
-        service = PlanService(capacity=8)
-        with pytest.raises(ValueError, match="cache= does not apply"):
-            registry.plan(
-                "broadcast", storage="implicit", cache=service, **FIG1
-            )
-        with pytest.raises(ValueError, match="unknown parameter.*backend"):
-            registry.plan(
-                "broadcast", backend="objects", cache=service, **FIG1
-            )
 
 
 # -- HTTP front end -------------------------------------------------------

@@ -107,15 +107,6 @@ class TestCapacity:
         msgs = violations(s2)
         assert any("capacity" in v for v in msgs)
 
-    def test_capacity_check_can_be_disabled(self):
-        p2 = LogPParams(P=5, L=3, o=0, g=2)
-        s2 = Schedule(params=p2)
-        s2.add(time=0, src=0, dst=1, item=0)
-        s2.add(time=1, src=0, dst=2, item=0)
-        s2.add(time=2, src=0, dst=3, item=0)
-        msgs = violations(s2, check_capacity=False)
-        assert not any("capacity" in v for v in msgs)
-
 
 class TestAssertValid:
     def test_raises_with_details(self):

@@ -23,9 +23,9 @@ from repro.sim.validate_np import violations_np
 from tests.oracles.validate import violations_objects
 
 
-def assert_agree(schedule: Schedule, check_capacity: bool = True) -> None:
-    scalar = violations_objects(schedule, check_capacity=check_capacity)
-    vector = violations_np(schedule, check_capacity=check_capacity)
+def assert_agree(schedule: Schedule) -> None:
+    scalar = violations_objects(schedule)
+    vector = violations_np(schedule)
     assert Counter(scalar) == Counter(vector)
 
 
@@ -61,11 +61,6 @@ class TestFuzzedAgreement:
     @settings(max_examples=200, deadline=None)
     def test_hostile_schedules_agree(self, schedule):
         assert_agree(schedule)
-
-    @given(schedule=_hostile_schedules())
-    @settings(max_examples=60, deadline=None)
-    def test_agreement_without_capacity_check(self, schedule):
-        assert_agree(schedule, check_capacity=False)
 
     @given(
         g=st.integers(1, 4),
