@@ -61,8 +61,9 @@ check:
 # Real-transport execution smoke (S37): every registered collective is
 # lowered to per-rank programs, executed on the inproc and mp
 # transports, and byte-verified against the simulator's delivered
-# multiset; then the P=256 broadcast on both transports, and the P=256
-# all-to-all on mp, whose jobs and batches span several pipe buffers.
+# multiset; then the P=256 broadcast on both transports, the P=256
+# all-to-all on mp, whose jobs and batches span several pipe buffers,
+# and the closed-form allreduce at P=200 on mp (277 ranks, 3878 sends).
 run-smoke:
 	@for t in inproc mp; do \
 		for b in $$(PYTHONPATH=src $(PY) -m repro.cli builders --names); do \
@@ -79,6 +80,9 @@ run-smoke:
 	@echo "== run --builder all-to-all -P 256 --transport mp"
 	@PYTHONPATH=src $(PY) -m repro.cli run --builder all-to-all \
 		-P 256 -L 4 --o 1 --g 2 --transport mp --verify
+	@echo "== run --builder allreduce -P 200 -L 3 --transport mp"
+	@PYTHONPATH=src $(PY) -m repro.cli run --builder allreduce \
+		-P 200 -L 3 --transport mp --verify
 
 bench:
 	PYTHONPATH=src $(PY) benchmarks/harness.py --out BENCH.json

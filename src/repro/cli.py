@@ -70,6 +70,7 @@ from repro import registry
 from repro.baselines.trees import baseline_broadcast
 from repro.core.fib import kitem_lower_bound
 from repro.core.kitem.bounds import kitem_upper_bound, single_sending_lower_bound
+from repro.core.summation.capacity import summation_machine
 from repro.core.summation.schedule import summation_schedule, verify_summation
 from repro.core.tree import optimal_tree
 from repro.params import LogPParams, postal
@@ -237,14 +238,19 @@ def cmd_plan_sum(args: argparse.Namespace) -> int:
         request = registry.canonical_request(
             spec.name, machine, **_spec_extra(spec, args)
         )
-        t = dict(request.extra)["t"]
-        plan = summation_schedule(t, machine)
+        extra = dict(request.extra)
+        t = extra["t"]
+        planned = summation_machine(machine, t, extra["n"])
+        plan = summation_schedule(t, planned)
     except ValueError as exc:
         return _usage_error(str(exc))
     total = verify_summation(plan)
     replay(plan.to_schedule())
+    target = f"{planned}"
+    if planned.P != machine.P:
+        target += f" (requested P={machine.P})"
     print(
-        f"optimal summation on {machine}:\n"
+        f"optimal summation on {target}:\n"
         f"  n = {plan.n} operands in t = {t} cycles "
         f"(functionally verified, total={total})\n"
         f"  operand distribution: {[len(ops) for ops in plan.operands]}"

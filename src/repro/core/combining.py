@@ -12,8 +12,10 @@ all-to-all combining costs no more than an all-to-one reduction.
 :func:`simulate_combining` tracks the exact index *intervals* held by
 each processor (Theorem 4.1's invariant: at time ``j`` processor ``i``
 holds ``x[i - f_{j+L-1} + 1 : i]``, a cyclically contiguous window) and
-returns both the message schedule and the per-step holdings so tests can
-verify the invariant literally.
+returns the per-step holdings so tests can verify the invariant
+literally; the message schedule itself has one owner,
+:func:`combining_schedule`, which writes the sends straight from the
+closed form as columns.
 
 All-to-one *reduction* is the time reversal of an optimal broadcast
 (:func:`reduction_schedule`), and the combining broadcast above matches
@@ -24,13 +26,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.fib import fib, fib_sequence
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import LogPParams, postal
+from repro.schedule.columnar import ItemTable
 from repro.schedule.ops import Schedule
 
 __all__ = [
     "CombiningRun",
+    "combining_schedule",
     "simulate_combining",
     "simulate_k_combining",
     "k_combining_time",
@@ -85,29 +91,49 @@ def combining_time(P: int, L: int) -> int:
     return T
 
 
-def simulate_combining(T: int, L: int) -> CombiningRun:
-    """Run the Theorem 4.1 algorithm for ``P = P(T; L, 0, 1)`` processors.
+def combining_schedule(T: int, L: int) -> Schedule:
+    """The Theorem 4.1 message schedule on ``P = P(T; L, 0, 1)`` processors.
 
-    Returns the message schedule (items are ``("partial", src, step)``)
-    and per-step holdings.  Arrivals at step ``m`` are combined before the
-    sends of step ``m`` depart, matching the paper's zero-cost combining
-    convention.
+    At step ``j = 0 .. T-L`` every processor ``i`` sends its partial
+    ``("partial", i, j)`` to ``(i + f_{j+L-1}) mod P``.  The sends are
+    stored step-major, rank-minor, one interned item per send.  A
+    processor's step-``j`` partial is derived locally, so every partial
+    it will ever emit is "initially held" as far as message causality
+    goes.
     """
     if T < L:
         raise ValueError(f"need T >= L, got T={T}, L={L}")
-    P = fib(L, T)
+    seq = fib_sequence(L, T)
+    P = seq[T]
+    steps = T - L + 1
+    strides = np.asarray(seq[L - 1 : T], dtype=np.int64)
+    srcs = np.tile(np.arange(P, dtype=np.int64), steps)
+    dsts = (srcs + np.repeat(strides, P)) % P
+    items = [("partial", i, j) for j in range(steps) for i in range(P)]
+    return Schedule.from_arrays(
+        postal(P=P, L=L),
+        times=np.repeat(np.arange(steps, dtype=np.int64), P),
+        srcs=srcs,
+        dsts=dsts,
+        item_codes=np.arange(len(items), dtype=np.int64),
+        item_table=ItemTable.distinct(items),
+        initial={i: items[i::P] for i in range(P)},
+    )
+
+
+def simulate_combining(T: int, L: int) -> CombiningRun:
+    """Run the Theorem 4.1 algorithm for ``P = P(T; L, 0, 1)`` processors.
+
+    Returns the message schedule of :func:`combining_schedule` (items are
+    ``("partial", src, step)``) and the per-step holdings.  Arrivals at
+    step ``m`` are combined before the sends of step ``m`` depart,
+    matching the paper's zero-cost combining convention.
+    """
+    schedule = combining_schedule(T, L)
+    P = schedule.params.P
     value: list[set[int]] = [{i} for i in range(P)]
     holdings: list[list[frozenset[int]]] = []
     pending: dict[int, list[tuple[int, frozenset[int]]]] = {}
-    # a processor's step-j partial is derived locally, so every partial it
-    # will ever emit is "initially held" as far as message causality goes
-    schedule = Schedule(
-        params=postal(P=P, L=L),
-        initial={
-            i: {("partial", i, j) for j in range(0, max(T - L, 0) + 1)}
-            for i in range(P)
-        },
-    )
     for j in range(0, T + 1):
         # deliveries scheduled for step j are folded in first ...
         for dst, payload in pending.pop(j, []):
@@ -117,9 +143,9 @@ def simulate_combining(T: int, L: int) -> CombiningRun:
         if j <= T - L:
             stride = fib(L, j + L - 1)
             for i in range(P):
-                dst = (i + stride) % P
-                schedule.add(time=j, src=i, dst=dst, item=("partial", i, j))
-                pending.setdefault(j + L, []).append((dst, frozenset(value[i])))
+                pending.setdefault(j + L, []).append(
+                    ((i + stride) % P, frozenset(value[i]))
+                )
     return CombiningRun(T=T, L=L, P=P, schedule=schedule, holdings=holdings)
 
 

@@ -27,6 +27,7 @@ __all__ = [
     "summation_capacity",
     "min_summation_time",
     "operand_distribution",
+    "summation_machine",
 ]
 
 
@@ -92,3 +93,26 @@ def min_summation_time(n: int, params: LogPParams) -> int:
         spent += node.delay + params.o + 1
         best = min(best, max(t_min, -(-(n + spent) // P) - 1))
     return best
+
+
+def summation_machine(params: LogPParams, t: int, n: int) -> LogPParams:
+    """The participating sub-machine for an optimal t-cycle summation.
+
+    ``min_summation_time`` optimizes over the number of participating
+    processors, so its ``t`` may only be feasible on fewer than ``P``
+    processors (a lone processor sums ``n`` operands in ``n - 1`` cycles
+    with no sends at all).  Pick the largest feasible processor count
+    whose capacity covers ``n``.  The registry's summation build and
+    ``repro plan-sum`` both plan on this machine.
+    """
+    for P in range(params.P, 0, -1):
+        sub = params.with_processors(P)
+        try:
+            capacity = sum(operand_distribution(t, sub))
+        except ValueError:
+            continue
+        if capacity >= n:
+            return sub
+    raise ValueError(
+        f"summation: no subset of {params} sums {n} operands by t={t}"
+    )

@@ -15,11 +15,14 @@ schedule is caught immediately.  Passes declaring
 ``preserves_completion`` additionally have their makespan (completion
 minus start time) checked.
 
-Each check lints its plan in full, but the facts under the rules (the
-availability table and hold times) are memoized on the schedule object
-(:meth:`~repro.schedule.ops.Schedule.memo`), and a pass with nothing to
-change returns its input, so re-verifying an unchanged plan re-derives
-nothing.
+The baseline is taken on demand: the pipeline input is linted only
+when a pass output has an error rule, because a clean output introduces
+nothing whatever the input held.  A pass with nothing to change returns
+its input, and the manager then reuses the report it already has for
+that object, so a clean plan through no-op passes is linted once.  The
+facts under the rules (the availability table and hold times) are
+memoized on the schedule object
+(:meth:`~repro.schedule.ops.Schedule.memo`) either way.
 """
 
 from __future__ import annotations
@@ -131,9 +134,9 @@ class PassManager:
                 "or materialize() it first"
             )
         self.records = []
-        baseline: set[str] = set()
-        if self.verify != "off":
-            baseline = {d.rule for d in self._lint(schedule).errors}
+        # the lint report of `current`; None until something needs it
+        # (the pipeline input is linted only on demand, see module doc)
+        previous: "LintReport | None" = None
         current = schedule
         for index, p in enumerate(self.passes):
             sends_before = current.num_sends
@@ -143,15 +146,22 @@ class PassManager:
             elapsed = time.perf_counter() - started
             report: "LintReport | None" = None
             if self.verify != "off":
-                report = self._lint(result)
+                if result is current and previous is not None:
+                    report = previous
+                else:
+                    report = self._lint(result)
                 post = {d.rule for d in report.errors}
-                introduced = post - baseline
+                introduced: set[str] = set()
+                if post:
+                    if previous is None:
+                        previous = report if result is current else self._lint(current)
+                    introduced = post - {d.rule for d in previous.errors}
                 if introduced and p.preserves_legality:
                     raise PassVerificationError(
                         f"pass {p.describe()!r} (step {index + 1}) introduced "
                         f"lint errors: {', '.join(sorted(introduced))}"
                     )
-                baseline = post
+                previous = report
                 if (
                     p.preserves_completion
                     and _makespan(result) != makespan_before

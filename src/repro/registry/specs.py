@@ -5,7 +5,7 @@ continuous, all-to-all, combining/all-reduce, summation) plus the
 all-to-one reduction (the time reversal of optimal broadcast, Section 5's
 communication skeleton).  Each record normalizes its builder's historical
 signature — ``single_sending_schedule(k, P, L)``,
-``summation_schedule(t, params)``, ``simulate_combining(T, L)`` — behind
+``summation_schedule(t, params)``, ``combining_schedule(T, L)`` — behind
 the uniform ``build(params, **extra)`` shape, declares its parameter
 domain, and names the closed-form lower bound the construction is
 measured against.
@@ -26,7 +26,7 @@ from repro.core.all_to_all import (
     all_to_all_schedule,
     is_tight,
 )
-from repro.core.combining import combining_time, reduction_schedule, simulate_combining
+from repro.core.combining import combining_schedule, combining_time, reduction_schedule
 from repro.core.continuous.assignment import solve
 from repro.core.continuous.schedule import expand_assignment
 from repro.core.fib import (
@@ -38,7 +38,11 @@ from repro.core.fib import (
 )
 from repro.core.kitem.single_sending import single_sending_schedule
 from repro.core.single_item import optimal_broadcast_schedule
-from repro.core.summation.capacity import min_summation_time, operand_distribution
+from repro.core.summation.capacity import (
+    min_summation_time,
+    operand_distribution,
+    summation_machine,
+)
 from repro.core.summation.schedule import summation_schedule
 from repro.params import LogPParams
 from repro.registry.spec import BoundQuery, CollectiveSpec, ParamField
@@ -207,30 +211,8 @@ def _normalize_summation(
     return {"n": n, "t": t}
 
 
-def _summation_machine(params: LogPParams, t: int, n: int) -> LogPParams:
-    """The participating sub-machine for an optimal t-cycle summation.
-
-    ``min_summation_time`` optimizes over the number of participating
-    processors, so its ``t`` may only be feasible on fewer than ``P``
-    processors (a lone processor sums ``n`` operands in ``n - 1`` cycles
-    with no sends at all).  Pick the largest feasible processor count
-    whose capacity covers ``n``.
-    """
-    for P in range(params.P, 0, -1):
-        sub = params.with_processors(P)
-        try:
-            capacity = sum(operand_distribution(t, sub))
-        except ValueError:
-            continue
-        if capacity >= n:
-            return sub
-    raise ValueError(
-        f"summation: no subset of {params} sums {n} operands by t={t}"
-    )
-
-
 def _build_summation(params: LogPParams, *, n: int, t: int) -> Schedule:
-    return summation_schedule(t, _summation_machine(params, t, n)).to_schedule()
+    return summation_schedule(t, summation_machine(params, t, n)).to_schedule()
 
 
 def _summation_lower_bound(params: LogPParams, *, n: int, t: int) -> int:
@@ -250,8 +232,7 @@ def _check_allreduce_machine(params: LogPParams) -> None:
 
 
 def _build_allreduce(params: LogPParams) -> Schedule:
-    T = combining_time(params.P, params.L)
-    return simulate_combining(T, params.L).schedule
+    return combining_schedule(combining_time(params.P, params.L), params.L)
 
 
 # -- hierarchical two-level collectives (machine layer, DESIGN S38) ------

@@ -96,7 +96,15 @@ def _item_text(item: Any) -> str:
     if cls is str:
         return encode_basestring_ascii(item)
     if cls is tuple:
-        return '{"t":[' + ",".join([_item_text(x) for x in item]) + "]}"
+        # exact int/str elements are written in place; only the others
+        # (bool, nested tuples, ...) recurse
+        parts = [
+            encode_basestring_ascii(x) if type(x) is str
+            else int.__repr__(x) if type(x) is int
+            else _item_text(x)
+            for x in item
+        ]
+        return '{"t":[' + ",".join(parts) + "]}"
     return json.dumps(_encode_item(item), **CANONICAL_DUMPS)
 
 
@@ -123,6 +131,14 @@ def item_json(item: Any, memo: dict[Any, str] | None = None) -> str:
     return text
 
 
+def _held_json(items: frozenset[Any], memo: dict[Any, str]) -> str:
+    """One processor's initial items, comma-joined in ``repr`` order."""
+    if len(items) == 1:
+        for item in items:
+            return item_json(item, memo)
+    return ",".join([item_json(item, memo) for item in sorted(items, key=repr)])
+
+
 def params_json(params: LogPParams) -> str:
     """Canonical JSON of a ``params`` object (keys sorted)."""
     return (
@@ -137,7 +153,10 @@ def canonical_json(schedule: Schedule, *, drop_time0_sources: bool = False) -> s
     Exactly ``json.dumps(schedule_payload(schedule), **CANONICAL_DUMPS)``,
     written straight from the schedule's columns: each send is one
     ``[t,s,d,item]`` row in replay order, and each distinct item is
-    encoded once, from the interning table.  No payload dict is built.
+    encoded once, from the interning table.  All rows are written by one
+    ``%`` format over a flat argument tuple; item texts are ``%s``
+    arguments, never part of the format string, so a ``%`` inside an
+    item is plain text.  No payload dict is built.
     ``drop_time0_sources`` omits ``source_items`` entries created at
     time 0 (the plan cache's content form, see
     :func:`repro.serve.keys.plan_content`).
@@ -148,32 +167,30 @@ def canonical_json(schedule: Schedule, *, drop_time0_sources: bool = False) -> s
     order = sort_order(cols)
     memo: dict[Any, str] = {}
     table = [item_json(item, memo) for item in cols.table.items]
-    sends = ",".join(
+    rows: list[Any] = [None] * (4 * len(order))
+    rows[0::4] = cols.times[order].tolist()
+    rows[1::4] = cols.srcs[order].tolist()
+    rows[2::4] = cols.dsts[order].tolist()
+    rows[3::4] = map(table.__getitem__, cols.items[order].tolist())
+    sends = ",".join(["[%d,%d,%d,%s]"] * len(order)) % tuple(rows)
+    placed = schedule.initial
+    procs = sorted(placed)
+    held: list[Any] = [None] * (2 * len(procs))
+    held[0::2] = map(_item_text, procs)
+    held[1::2] = [_held_json(items, memo) for items in map(placed.__getitem__, procs)]
+    initial = ",".join(["[%s,[%s]]"] * len(procs)) % tuple(held)
+    made = sorted(
         [
-            f"[{t},{s},{d},{table[c]}]"
-            for t, s, d, c in zip(
-                cols.times[order].tolist(),
-                cols.srcs[order].tolist(),
-                cols.dsts[order].tolist(),
-                cols.items[order].tolist(),
-            )
-        ]
+            pair
+            for pair in schedule.source_items.items()
+            if not (drop_time0_sources and pair[1] == 0)
+        ],
+        key=repr,
     )
-    initial = ",".join(
-        [
-            f"[{_item_text(proc)},["
-            + ",".join([item_json(item, memo) for item in sorted(items, key=repr)])
-            + "]]"
-            for proc, items in sorted(schedule.initial.items())
-        ]
-    )
-    sources = ",".join(
-        [
-            f"[{item_json(item, memo)},{_item_text(when)}]"
-            for item, when in sorted(schedule.source_items.items(), key=repr)
-            if not (drop_time0_sources and when == 0)
-        ]
-    )
+    created: list[Any] = [None] * (2 * len(made))
+    created[0::2] = [item_json(item, memo) for item, _ in made]
+    created[1::2] = [_item_text(when) for _, when in made]
+    sources = ",".join(["[%s,%s]"] * len(made)) % tuple(created)
     machine = ""
     if schedule.machine is not None:
         # only present for machine-attached schedules, so every flat

@@ -1,5 +1,6 @@
 """Per-send loop builders: oracles for the numpy-broadcasting builders
-in :mod:`repro.core.single_item` and :mod:`repro.core.all_to_all`.
+in :mod:`repro.core.single_item`, :mod:`repro.core.all_to_all` and
+:mod:`repro.core.combining`.
 
 Each returns an object-backed :class:`~repro.schedule.ops.Schedule`
 built one :meth:`~repro.schedule.ops.Schedule.add` at a time, with the
@@ -12,8 +13,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.all_to_all import interleaving_gap
+from repro.core.combining import combining_time
+from repro.core.fib import fib
 from repro.core.tree import BroadcastTree
-from repro.params import LogPParams
+from repro.params import LogPParams, postal
 from repro.schedule.ops import Schedule
 from tests.oracles.tree import optimal_tree_heap
 
@@ -98,8 +101,34 @@ def k_item_all_to_all_schedule_objects(params: LogPParams, k: int) -> Schedule:
     return schedule
 
 
+def combining_schedule_objects(T: int, L: int) -> Schedule:
+    """Oracle for :func:`repro.core.combining.combining_schedule`: the
+    Theorem 4.1 sends emitted step by step, one ``add`` per send."""
+    if T < L:
+        raise ValueError(f"need T >= L, got T={T}, L={L}")
+    P = fib(L, T)
+    schedule = Schedule(
+        params=postal(P=P, L=L),
+        initial={
+            i: {("partial", i, j) for j in range(0, T - L + 1)} for i in range(P)
+        },
+    )
+    for j in range(0, T - L + 1):
+        stride = fib(L, j + L - 1)
+        for i in range(P):
+            schedule.add(time=j, src=i, dst=(i + stride) % P, item=("partial", i, j))
+    return schedule
+
+
+def allreduce_schedule_objects(params: LogPParams) -> Schedule:
+    """Oracle for the registry's ``allreduce`` build: the combining
+    broadcast on the smallest ``P(T) >= P``."""
+    return combining_schedule_objects(combining_time(params.P, params.L), params.L)
+
+
 #: Registry collectives whose builder has a per-send oracle here.
 REGISTRY_ORACLES = {
     "broadcast": optimal_broadcast_schedule_objects,
     "all-to-all": all_to_all_schedule_objects,
+    "allreduce": allreduce_schedule_objects,
 }

@@ -57,6 +57,40 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "operands" in out
 
+    def test_plan_sum_agrees_with_registry_on_grid(self, capsys):
+        # plan-sum exits 0 exactly where registry.plan("summation") builds,
+        # and prints the operand distribution of that plan's machine
+        from repro import registry
+        from repro.core.summation.capacity import operand_distribution
+        from repro.params import LogPParams
+
+        for P in range(1, 9):
+            for L in (1, 2, 5):
+                for o, g in ((0, 1), (1, 2), (2, 4)):
+                    for n in (1, 2, 3, 5, 10, 40):
+                        params = LogPParams(P=P, L=L, o=o, g=g)
+                        argv = [
+                            "plan-sum", "--P", str(P), "--L", str(L),
+                            "--o", str(o), "--g", str(g), "--n", str(n),
+                        ]
+                        try:
+                            plan = registry.plan("summation", params, n=n)
+                        except ValueError:
+                            assert main(argv) == 2, argv
+                            capsys.readouterr()
+                            continue
+                        assert main(argv) == 0, argv
+                        out = capsys.readouterr().out
+                        t = dict(registry.canonical_request(
+                            "summation", params, n=n
+                        ).extra)["t"]
+                        dist = operand_distribution(t, plan.params)
+                        assert f"operand distribution: {dist}\n" in out, argv
+                        target = f"on {plan.params}"
+                        if plan.params.P != P:
+                            target += f" (requested P={P})"
+                        assert f"{target}:\n" in out, argv
+
     def test_plan_allreduce(self, capsys):
         assert main(["plan-allreduce", "--P", "9", "--L", "3"]) == 0
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.combining import (
+    combining_schedule,
     combining_time,
     reduction_schedule,
     simulate_combining,
@@ -10,7 +11,10 @@ from repro.core.combining import (
 from repro.core.fib import broadcast_time, fib
 from repro.params import postal
 from repro.schedule.analysis import availability
+from repro.serve.keys import plan_content
 from repro.sim.validate import replay
+
+from tests.oracles.builders import combining_schedule_objects
 
 
 class TestTheorem41:
@@ -126,3 +130,30 @@ class TestKCombining:
             )
             combined = concat(combined, relabeled)
         replay(combined)
+
+
+def _combining_points(max_P):
+    """Every (T, L) with L <= 6, T >= L and P(T; L, 0, 1) <= max_P."""
+    for L in range(1, 7):
+        T = L
+        while fib(L, T) <= max_P:
+            yield T, L
+            T += 1
+
+
+class TestClosedForm:
+    """`combining_schedule` writes Theorem 4.1's sends from the closed
+    form; the per-send twin in ``tests/oracles/builders.py`` pins it."""
+
+    def test_plan_content_matches_step_by_step_twin(self):
+        points = list(_combining_points(2000))
+        assert len(points) == 119
+        for T, L in points:
+            closed = combining_schedule(T, L)
+            assert closed.is_array_backed
+            twin = combining_schedule_objects(T, L)
+            assert not twin.is_array_backed
+            assert plan_content(closed) == plan_content(twin), (T, L)
+            if closed.params.P <= 300:
+                run = simulate_combining(T, L)
+                assert run.complete() and run.theorem_41_invariant(), (T, L)

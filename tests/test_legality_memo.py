@@ -278,7 +278,18 @@ class TestNoOpPasses:
         assert make_pass("canonicalize").run(s) is s
 
     def test_canonicalize_of_canonical_objects_shares_the_memo(self):
-        s = registry.plan("allreduce", P=8, L=3)
+        # an object-backed plan already in replay order: at each step
+        # every rank passes its own partial to the next rank
+        P = 8
+        s = Schedule(
+            postal(P=P, L=3),
+            sends=[
+                SendOp(j, i, (i + 1) % P, ("partial", i, j))
+                for j in range(3)
+                for i in range(P)
+            ],
+            initial={i: {("partial", i, j) for j in range(3)} for i in range(P)},
+        )
         assert not s.is_array_backed
         table = analysis_np.availability_arrays(s)
         out = make_pass("canonicalize").run(s)

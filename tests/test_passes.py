@@ -229,17 +229,69 @@ class TestPassManager:
         with pytest.raises(ValueError, match="verify"):
             PassManager("canonicalize", verify="sometimes")
 
-    def test_introduced_error_fails_verification(self):
+    @staticmethod
+    def _count_lints(monkeypatch):
+        import repro.analyze as analyze
+
+        calls = []
+        real = analyze.lint_schedule
+
+        def counting(schedule, *args, **kwargs):
+            calls.append(schedule)
+            return real(schedule, *args, **kwargs)
+
+        monkeypatch.setattr(analyze, "lint_schedule", counting)
+        return calls
+
+    def test_introduced_error_fails_verification(self, monkeypatch):
+        calls = self._count_lints(monkeypatch)
         pm = PassManager([_BreakCausality()], verify="errors")
         with pytest.raises(PassVerificationError, match="SCHED001"):
             pm.run(optimal_broadcast_schedule(FIG1))
+        # the output's lint, then the input's baseline on demand
+        assert len(calls) == 2
+        # after a no-op pass the baseline is that pass's report
+        calls.clear()
+        pm = PassManager(
+            [make_pass("canonicalize"), _BreakCausality()], verify="errors"
+        )
+        with pytest.raises(PassVerificationError) as info:
+            pm.run(plan("broadcast", FIG1))
+        assert str(info.value) == (
+            "pass 'break-causality' (step 2) introduced lint errors: SCHED001"
+        )
+        assert len(calls) == 2
 
     def test_preexisting_errors_do_not_fail_verification(self):
-        # differential baseline: the corpus file already violates
-        # causality, so a normalization pass over it must verify clean
-        broken = load_schedule(CORPUS / "non_causal.json")
-        out = run_pipeline("canonicalize", broken, verify="errors")
-        assert out.num_sends == broken.num_sends
+        # differential baseline: these corpus files already have error
+        # rules, so a normalization pass over them must verify clean, and
+        # its record carries what a direct lint of the output reports
+        errors = ("SCHED001", "SCHED002", "SCHED003")
+        expected = json.loads((CORPUS / "expected.json").read_text())
+        broken = sorted(n for n, rules in expected.items() if set(rules) & set(errors))
+        assert broken
+        for name in broken:
+            schedule = load_schedule(CORPUS / f"{name}.json")
+            pm = PassManager("canonicalize", verify="errors")
+            out = pm.run(schedule)
+            assert out.num_sends == schedule.num_sends
+            report = pm.records[0].report
+            direct = lint_schedule(out, select=errors)
+            assert report.errors and report.diagnostics == direct.diagnostics
+            assert report.rule_totals == direct.rule_totals
+
+    def test_clean_plan_through_no_op_passes_is_linted_once(self, monkeypatch):
+        # the input baseline is taken only when an output has an error,
+        # and a pass returning its input reuses the report in hand
+        s = plan("broadcast", FIG1)
+        calls = self._count_lints(monkeypatch)
+        pm = PassManager("canonicalize,prune-dead-sends", verify="errors")
+        out = pm.run(s)
+        assert len(calls) == 1
+        assert [r.name for r in pm.records] == ["canonicalize", "prune-dead-sends"]
+        assert pm.records[1].report is pm.records[0].report
+        assert pm.records[0].report.diagnostics == []
+        assert schedule_to_json(out) == schedule_to_json(s)
 
     def test_makespan_invariant_enforced(self):
         pm = PassManager([_StretchMakespan()], verify="errors")

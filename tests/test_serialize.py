@@ -22,6 +22,7 @@ from repro.schedule.serialize import (
     item_json,
     load_schedule,
     schedule_from_json,
+    schedule_payload,
     schedule_to_json,
 )
 from repro.serve.keys import plan_content
@@ -197,16 +198,41 @@ class TestCanonicalWriter:
     def test_emitter_matches_oracle_on_odd_items(self):
         from repro.schedule.ops import Schedule
 
-        items = ["é\"\\", ("t", -(2**70), ("x",)), frozenset({3, -1}), ()]
+        items = [
+            "é\"\\",
+            ("t", -(2**70), ("x",)),
+            frozenset({3, -1}),
+            (),
+            # format directives are item text, never format syntax
+            "%s%%d",
+            ("%", "%s", 5, "100%"),
+            # a bool beside an int inside one tuple
+            (True, 1),
+            (1, (False, ("n", (-2, ()))), "deep"),
+        ]
         s = Schedule(
             params=postal(P=3, L=2),
-            initial={0: set(items), 2: {7}},
-            source_items={items[1]: 0, items[2]: 4},
+            initial={0: set(items), 2: {7}, 1: {"%d"}},
+            source_items={items[1]: 0, items[2]: 4, items[5]: 2, "%d": -1},
         )
         for i, item in enumerate(items):
-            s.add(i, 0, 1 + i % 2, item=item)
-        for drop in (False, True):
-            assert canonical_json(s, drop_time0_sources=drop) == canonical_json_dumps(
-                s, drop_time0_sources=drop
+            # negative send times too
+            s.add(i - 3, 0, 1 + i % 2, item=item)
+        empty = Schedule(
+            params=postal(P=2, L=2),
+            initial={0: {("%s", True)}, 1: set()},
+            source_items={("%s", True): 3},
+        )
+        assert empty.num_sends == 0
+        for plan in (s, empty):
+            for drop in (False, True):
+                assert canonical_json(
+                    plan, drop_time0_sources=drop
+                ) == canonical_json_dumps(plan, drop_time0_sources=drop)
+            assert canonical_json(plan) == json.dumps(
+                schedule_payload(plan), **CANONICAL_DUMPS
             )
-        assert '"source_items":[[{"fs":[-1,3]},4]]' in plan_content(s)
+        assert plan_content(s).endswith('[{"fs":[-1,3]},4]]}')
+        assert '[-3,0,1,"\\u00e9\\"\\\\"]' in plan_content(s)
+        assert '{"t":[true,1]}' in plan_content(s)
+        assert '"sends":[]' in plan_content(empty)
