@@ -7,8 +7,9 @@ PY ?= python3
 install:
 	$(PY) -m pip install -e . --no-build-isolation
 
+# Tier-1: the command CI runs (testpaths and -q come from pyproject.toml)
 test:
-	$(PY) -m pytest tests/
+	PYTHONPATH=src $(PY) -m pytest -x -q
 
 # Static gates: the codebase checkers (REPRO001 hot-loop gate and the
 # rest, via `repro check`), then a lint smoke over every builder the
@@ -89,13 +90,13 @@ bench:
 	PYTHONPATH=src $(PY) -m pytest -m perf benchmarks/test_perf_regression.py
 
 bench-micro:
-	$(PY) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PY) -m pytest benchmarks/ --benchmark-only
 
 figures:
-	$(PY) -m repro.cli figures
+	PYTHONPATH=src $(PY) -m repro.cli figures
 
 sweeps:
-	$(PY) -m repro.cli sweeps
+	PYTHONPATH=src $(PY) -m repro.cli sweeps
 
 # Every example is a self-checking script: each asserts its headline
 # claims and exits non-zero on failure, so this target doubles as a

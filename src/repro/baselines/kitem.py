@@ -22,7 +22,7 @@ from __future__ import annotations
 from repro.baselines.trees import binomial_tree_schedule
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import postal
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 
 __all__ = [
     "repeated_broadcast_schedule",
@@ -40,15 +40,16 @@ def repeated_broadcast_schedule(k: int, P: int, L: int) -> Schedule:
     params = postal(P=P, L=L)
     one = optimal_broadcast_schedule(params)
     span = max((op.arrival(params) for op in one.sends), default=0)
-    schedule = Schedule(
+    return Schedule(
         params=params,
+        sends=[
+            SendOp(i * span + op.time, op.src, op.dst, i)
+            for i in range(k)
+            for op in one.sends
+        ],
         initial={0: set(range(k))},
         source_items={i: 0 for i in range(k)},
     )
-    for i in range(k):
-        for op in one.sends:
-            schedule.add(time=i * span + op.time, src=op.src, dst=op.dst, item=i)
-    return schedule
 
 
 def staggered_binomial_schedule(k: int, P: int, L: int) -> Schedule:
@@ -65,17 +66,16 @@ def staggered_binomial_schedule(k: int, P: int, L: int) -> Schedule:
     for op in one.sends:
         degree[op.src] = degree.get(op.src, 0) + 1
     stagger = max(degree.values(), default=1)
-    schedule = Schedule(
+    return Schedule(
         params=params,
+        sends=[
+            SendOp(i * stagger + op.time, op.src, op.dst, i)
+            for i in range(k)
+            for op in one.sends
+        ],
         initial={0: set(range(k))},
         source_items={i: 0 for i in range(k)},
     )
-    for i in range(k):
-        for op in one.sends:
-            schedule.add(
-                time=i * stagger + op.time, src=op.src, dst=op.dst, item=i
-            )
-    return schedule
 
 
 def scatter_allgather_schedule(k: int, P: int, L: int) -> Schedule:
@@ -94,17 +94,13 @@ def scatter_allgather_schedule(k: int, P: int, L: int) -> Schedule:
     params = postal(P=P, L=L)
     ring = list(range(1, P))
     nxt = {p: ring[(j + 1) % len(ring)] for j, p in enumerate(ring)}
-    schedule = Schedule(
-        params=params,
-        initial={0: set(range(k))},
-        source_items={i: 0 for i in range(k)},
-    )
+    sends: list[SendOp] = []
     # (availability step, proc, item, hops remaining)
     pending: list[tuple[int, int, int, int]] = []
     booked: set[tuple[int, int]] = set()  # (proc, step) reception slots
     for i in range(k):
         owner = 1 + (i % (P - 1))
-        schedule.add(time=i, src=0, dst=owner, item=i)
+        sends.append(SendOp(i, 0, owner, i))
         booked.add((owner, i + L))
         pending.append((i + L, owner, i, P - 2))
     next_free: dict[int, int] = {p: 0 for p in range(P)}
@@ -119,6 +115,11 @@ def scatter_allgather_schedule(k: int, P: int, L: int) -> Schedule:
             send += 1
         next_free[proc] = send + 1
         booked.add((dst, send + L))
-        schedule.add(time=send, src=proc, dst=dst, item=item)
+        sends.append(SendOp(send, proc, dst, item))
         pending.append((send + L, dst, item, hops - 1))
-    return schedule
+    return Schedule(
+        params=params,
+        sends=sends,
+        initial={0: set(range(k))},
+        source_items={i: 0 for i in range(k)},
+    )

@@ -21,7 +21,7 @@ allows", so differences against ``B(P)`` measure tree *shape* only.
 from __future__ import annotations
 
 from repro.params import LogPParams
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 
 __all__ = [
     "flat_schedule",
@@ -35,25 +35,25 @@ __all__ = [
 
 def flat_schedule(params: LogPParams) -> Schedule:
     """Root sends to processors ``1 .. P-1`` back to back."""
-    schedule = Schedule(params=params)
-    for i in range(1, params.P):
-        schedule.add(time=(i - 1) * params.g, src=0, dst=i, item=0)
-    return schedule
+    return Schedule(
+        params=params,
+        sends=[SendOp((i - 1) * params.g, 0, i) for i in range(1, params.P)],
+    )
 
 
 def chain_schedule(params: LogPParams) -> Schedule:
     """Linear pipeline ``0 -> 1 -> ... -> P-1``."""
-    schedule = Schedule(params=params)
-    available = 0
-    for i in range(1, params.P):
-        schedule.add(time=available, src=i - 1, dst=i, item=0)
-        available += params.send_cost
-    return schedule
+    return Schedule(
+        params=params,
+        sends=[
+            SendOp((i - 1) * params.send_cost, i - 1, i) for i in range(1, params.P)
+        ],
+    )
 
 
 def binary_tree_schedule(params: LogPParams) -> Schedule:
     """Balanced binary tree: node ``i`` relays to ``2i+1`` and ``2i+2``."""
-    schedule = Schedule(params=params)
+    sends: list[SendOp] = []
     available = {0: 0}
     for i in range(params.P):
         base = available.get(i)
@@ -62,9 +62,9 @@ def binary_tree_schedule(params: LogPParams) -> Schedule:
         for j, child in enumerate((2 * i + 1, 2 * i + 2)):
             if child < params.P:
                 send = base + j * params.g
-                schedule.add(time=send, src=i, dst=child, item=0)
+                sends.append(SendOp(send, i, child))
                 available[child] = send + params.send_cost
-    return schedule
+    return Schedule(params=params, sends=sends)
 
 
 def binomial_tree_schedule(params: LogPParams) -> Schedule:
@@ -77,7 +77,7 @@ def binomial_tree_schedule(params: LogPParams) -> Schedule:
     the universal tree is binomial (e.g. the postal model with ``L = 1``).
     """
     P = params.P
-    schedule = Schedule(params=params)
+    sends: list[SendOp] = []
     span = 1
     while span < P:
         span *= 2
@@ -90,13 +90,13 @@ def binomial_tree_schedule(params: LogPParams) -> Schedule:
             child = root + sub
             if child < P:
                 send = available + j * params.g
-                schedule.add(time=send, src=root, dst=child, item=0)
+                sends.append(SendOp(send, root, child))
                 expand(child, sub, send + params.send_cost)
                 j += 1
             sub //= 2
 
     expand(0, span, 0)
-    return schedule
+    return Schedule(params=params, sends=sends)
 
 
 def baseline_broadcast(name: str, params: LogPParams) -> Schedule:
@@ -118,20 +118,14 @@ def baseline_reduction(name: str, params: LogPParams) -> Schedule:
 
     Exactly the paper's §4.2 correspondence, applied to the baselines the
     same way :func:`repro.core.combining.reduction_schedule` applies it
-    to the optimal tree: a verified ``reverse{tag=red}`` pass with every
-    processor initially holding its own partial, so baseline reduction
-    times equal baseline broadcast times tree-for-tree.
+    to the optimal tree: one columnar reversal with every processor
+    initially holding its own partial, so baseline reduction times equal
+    baseline broadcast times tree-for-tree.
     """
-    from repro.passes import PassManager, ReversePass
+    from repro.passes.kernels import reverse_columns
 
-    broadcast = baseline_broadcast(name, params)
-    manager = PassManager(
-        [
-            ReversePass(
-                tag="red",
-                initial={p: {("red", p)} for p in range(params.P)},
-            )
-        ],
-        verify="errors",
+    return reverse_columns(
+        baseline_broadcast(name, params),
+        tag="red",
+        initial={p: {("red", p)} for p in range(params.P)},
     )
-    return manager.run(broadcast)

@@ -43,7 +43,7 @@ from repro.core.all_to_all import (
 from repro.core.fib import broadcast_time_postal, fib
 from repro.params import LogPParams
 from repro.passes.library import ReversePass
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 from repro.schedule.transform import remap, shift
 from repro.sim.validate import assert_valid
 
@@ -125,15 +125,12 @@ class Communicator:
             dsts = [dst for dst in range(self.params.P) if dst != root]
             schedule = Schedule(
                 params=self.params,
+                sends=[
+                    SendOp(slot * self.params.g, root, dst, ("scatter", dst))
+                    for slot, dst in enumerate(dsts)
+                ],
                 initial={root: {("scatter", dst) for dst in dsts}},
             )
-            for slot, dst in enumerate(dsts):
-                schedule.add(
-                    time=slot * self.params.g,
-                    src=root,
-                    dst=dst,
-                    item=("scatter", dst),
-                )
             return self._plan("scatter", schedule, root=root)
 
         return self._cached(("scatter", root), build)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.core.continuous.assignment import BlockCyclicAssignment
 from repro.core.tree import BroadcastTree, tree_for_time
 from repro.params import postal
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 
 __all__ = [
     "GBlock",
@@ -202,25 +202,23 @@ def expand(general: GeneralAssignment, num_items: int) -> Schedule:
                 proc_for[(item, node_index)] = proc
 
     # --- emit sends ------------------------------------------------------
-    params = postal(P=num_procs, L=L)
-    schedule = Schedule(
-        params=params,
-        initial={0: set(range(num_items))},
-        source_items={i: i for i in range(num_items)},
-    )
+    sends: list[SendOp] = []
     for item in range(num_items):
         for node in tree.nodes:
             dst = proc_for[(item, node.index)]
             if node.parent is None:
-                schedule.add(time=item, src=0, dst=dst, item=item)
+                sends.append(SendOp(item, 0, dst, item))
             else:
                 parent = tree.nodes[node.parent]
                 rank = parent.children.index(node.index)
                 src = proc_for[(item, parent.index)]
-                schedule.add(
-                    time=L + item + parent.delay + rank, src=src, dst=dst, item=item
-                )
-    return schedule
+                sends.append(SendOp(L + item + parent.delay + rank, src, dst, item))
+    return Schedule(
+        params=postal(P=num_procs, L=L),
+        sends=sends,
+        initial={0: set(range(num_items))},
+        source_items={i: i for i in range(num_items)},
+    )
 
 
 def expand_assignment(assignment: BlockCyclicAssignment, num_items: int) -> Schedule:

@@ -197,14 +197,12 @@ def single_sending_schedule(k: int, P: int, L: int) -> Schedule:
     if P < 2:
         raise ValueError("broadcast needs at least 2 processors")
     if P == 2:
-        schedule = Schedule(
+        return Schedule(
             params=postal(P=2, L=L),
+            sends=[SendOp(i, 0, 1, i) for i in range(k)],
             initial={0: set(range(k))},
             source_items={i: i for i in range(k)},
         )
-        for i in range(k):
-            schedule.add(time=i, src=0, dst=1, item=i)
-        return schedule
     t = broadcast_time_postal(P - 1, L)
     # The stitched continuous machinery covers L up to 10 (the paper's
     # range), but deriving base cases is expensive beyond L = 6 (minutes);

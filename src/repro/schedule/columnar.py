@@ -25,7 +25,7 @@ Both storage modes are observationally identical: the property suite in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -208,7 +208,7 @@ def _arrivals(
 
 
 def sends_to_columns(
-    sends: list[SendOp],
+    sends: Sequence[SendOp],
     params: LogPParams,
     initial: Mapping[int, Iterable[Item]],
     machine: "MachineModel | None" = None,

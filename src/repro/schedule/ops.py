@@ -7,10 +7,11 @@ placement.  The simulator (:mod:`repro.sim`) replays this IR, enforcing
 every LogP constraint, and the analysis helpers compute completion times
 and per-item delays from it.
 
-Two storage modes back the same interface:
+A schedule is built once and never changes, like the paper's fixed
+set of timed messages.  Two storage modes back the same interface:
 
-* **object-backed** (the default): a plain list of frozen ``SendOp``
-  dataclasses, built one :meth:`Schedule.add` at a time;
+* **object-backed** (the default): a tuple of frozen ``SendOp``
+  dataclasses, given to the constructor as one list of rows;
 * **array-backed** (:meth:`Schedule.from_arrays`): struct-of-arrays
   ``int64`` columns from :mod:`repro.schedule.columnar`, used by the
   vectorized builders.  ``schedule.sends`` lazily materializes the
@@ -19,12 +20,11 @@ Two storage modes back the same interface:
   never pay for the objects.
 
 ``columns()``, ``sorted_sends()`` and the per-plan memo of legality
-facts (:meth:`Schedule.memo`) are cached and invalidated by any edit of
-the send list — :meth:`add`, :meth:`extend`, the ``sends`` setter or an
-in-place edit such as ``schedule.sends[i] = op`` — so repeated
-validate/analyze/lint calls stop re-deriving them.  Everything else a
-legality fact depends on is read-only after construction: the column
-arrays, ``params``, ``initial``, ``source_items`` and ``machine``.
+facts (:meth:`Schedule.memo`) are each derived at most once, since
+nothing they depend on can change: the sends, the column arrays,
+``params``, ``initial``, ``computes``, ``source_items`` and ``machine``
+are all read-only.  A transformation (:mod:`repro.passes`) builds a new
+schedule instead of editing one.
 
 Timing convention (integer cycles):
 
@@ -62,7 +62,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.machine.model import MachineModel
     from repro.schedule.columnar import ItemTable, ScheduleColumns
 
-__all__ = ["SendOp", "ComputeOp", "SendList", "Schedule"]
+__all__ = ["SendOp", "ComputeOp", "Schedule"]
 
 Item = Hashable
 T = TypeVar("T")
@@ -105,50 +105,6 @@ class ComputeOp:
     duration: int = 1
 
 
-class SendList(list[SendOp]):
-    """An object-backed schedule's send list.
-
-    Every in-place edit (``append``, ``sends[i] = op``, ``sort``, ...)
-    bumps :attr:`version`; the owning schedule compares it to the version
-    its columns were derived from, so an edit that keeps the length —
-    or bypasses :meth:`Schedule.add` — still invalidates them.
-    """
-
-    version = 0
-
-
-def _bumps_version(name: str) -> Callable[..., Any]:
-    edit = getattr(list, name)
-
-    def method(self: SendList, *args: Any, **kwargs: Any) -> Any:
-        result = edit(self, *args, **kwargs)
-        self.version += 1
-        return result
-
-    method.__name__ = name
-    method.__qualname__ = f"SendList.{name}"
-    method.__doc__ = edit.__doc__
-    return method
-
-
-for _name in (
-    "__setitem__",
-    "__delitem__",
-    "__iadd__",
-    "__imul__",
-    "append",
-    "extend",
-    "insert",
-    "pop",
-    "remove",
-    "clear",
-    "sort",
-    "reverse",
-):
-    setattr(SendList, _name, _bumps_version(_name))
-del _name
-
-
 # shared read-only defaults: processor 0 holds item 0; no creation times
 _SOURCE_HOLDS_ITEM_0: Mapping[int, frozenset[Item]] = MappingProxyType(
     {0: frozenset({0})}
@@ -189,11 +145,11 @@ class Schedule:
         lint to per-edge pricing.  ``params`` stays the machine's flat
         envelope so legacy consumers keep working.
 
-    ``params``, ``initial``, ``source_items`` and ``machine`` are
-    read-only after construction (``initial`` maps each processor to a
-    ``frozenset``), so the legality facts memoized on the schedule
-    (:meth:`memo`) can never go stale behind its back.  ``sends`` is the
-    schedule's own :class:`SendList` copy of the given ops.
+    A schedule never changes after construction: ``sends`` and
+    ``computes`` are tuples, ``initial`` maps each processor to a
+    ``frozenset``, and ``params``, ``source_items`` and ``machine`` are
+    read-only, so the legality facts memoized on it (:meth:`memo`) can
+    never go stale.
     """
 
     def __init__(
@@ -201,7 +157,7 @@ class Schedule:
         params: LogPParams,
         sends: Iterable[SendOp] | None = None,
         initial: Mapping[int, Iterable[Item]] | None = None,
-        computes: list[ComputeOp] | None = None,
+        computes: Iterable[ComputeOp] | None = None,
         source_items: Mapping[Item, int] | None = None,
         machine: MachineModel | None = None,
     ):
@@ -217,17 +173,13 @@ class Schedule:
             if initial is None
             else MappingProxyType(dict(zip(initial, map(frozenset, initial.values()))))
         )
-        self.computes = computes if computes is not None else []
+        self._computes = () if computes is None else tuple(computes)
         self._source_items: Mapping[Item, int] = (
             MappingProxyType(dict(source_items)) if source_items else _NO_SOURCES
         )
-        self._sends: SendList | None = SendList(sends or ())
+        self._sends: tuple[SendOp, ...] | None = () if sends is None else tuple(sends)
         self._columns: ScheduleColumns | None = None
-        # the send-list version the columns (and the memo) derive from;
-        # -1 = not derived yet
-        self._synced = -1
-        self._sorted: list[SendOp] | None = None
-        self._sorted_at = -1
+        self._sorted: tuple[SendOp, ...] | None = None
         self._memo: dict[str, Any] = {}
 
     @classmethod
@@ -240,7 +192,7 @@ class Schedule:
         item_codes: np.ndarray | None = None,
         item_table: ItemTable | None = None,
         initial: Mapping[int, Iterable[Item]] | None = None,
-        computes: list[ComputeOp] | None = None,
+        computes: Iterable[ComputeOp] | None = None,
         source_items: Mapping[Item, int] | None = None,
         machine: MachineModel | None = None,
     ) -> Schedule:
@@ -292,24 +244,21 @@ class Schedule:
         """Read-only map ``item -> creation time`` at the source."""
         return self._source_items
 
+    @property
+    def computes(self) -> tuple[ComputeOp, ...]:
+        """The local-computation ops (summation schedules)."""
+        return self._computes
+
     # -- storage ---------------------------------------------------------
 
     @property
-    def sends(self) -> SendList:
-        """The send list (lazily materialized for array-backed schedules)."""
+    def sends(self) -> tuple[SendOp, ...]:
+        """The sends (lazily materialized for array-backed schedules)."""
         if self._sends is None:
             from repro.schedule.columnar import materialize_sends
 
-            self._sends = SendList(materialize_sends(self._columns))
-            self._synced = self._sends.version
+            self._sends = tuple(materialize_sends(self._columns))
         return self._sends
-
-    @sends.setter
-    def sends(self, value: Iterable[SendOp]) -> None:
-        self._sends = SendList(value)
-        self._synced = -1
-        self._sorted = None
-        self._memo = {}
 
     @property
     def num_sends(self) -> int:
@@ -324,21 +273,17 @@ class Schedule:
         return self._sends is None
 
     def columns(self) -> ScheduleColumns:
-        """The cached column view consumed by the vectorized kernels.
+        """The column view consumed by the vectorized kernels.
 
         Array-backed schedules return their storage directly (zero-copy);
-        object-backed schedules convert once and reuse the result until
-        the send list is edited, which also drops the :meth:`memo`.
+        object-backed schedules convert once, on first use.
         """
-        sends = self._sends
-        if sends is not None and self._synced != sends.version:
+        if self._columns is None:
             from repro.schedule.columnar import sends_to_columns
 
             self._columns = sends_to_columns(
-                sends, self._params, self._initial, machine=self._machine
+                self.sends, self._params, self._initial, machine=self._machine
             )
-            self._synced = sends.version
-            self._memo = {}
         return self._columns
 
     def memo(self, key: str, compute: Callable[[Schedule], T]) -> T:
@@ -347,13 +292,9 @@ class Schedule:
         For facts derived from the columns, ``initial``, ``source_items``
         and the machine — the availability table, hold times and the
         legality verdict — so every pass, lint and verification step
-        over one schedule object shares one evaluation.  The memo is
-        dropped whenever the columns are; treat the values (never
-        ``None``) as read-only.
+        over one schedule object shares one evaluation.  Treat the
+        values (never ``None``) as read-only.
         """
-        sends = self._sends
-        if sends is not None and self._synced != sends.version:
-            self.columns()
         value = self._memo.get(key)
         if value is None:
             value = self._memo[key] = compute(self)
@@ -371,7 +312,7 @@ class Schedule:
         twin = Schedule(
             self._params,
             initial=self._initial,
-            computes=list(self.computes),
+            computes=self._computes,
             source_items=self._source_items,
             machine=self._machine,
         )
@@ -380,26 +321,12 @@ class Schedule:
         twin._memo = self._memo
         return twin
 
-    # -- mutation --------------------------------------------------------
-
-    def add(self, time: int, src: int, dst: int, item: Item = 0) -> SendOp:
-        op = SendOp(time=time, src=src, dst=dst, item=item)
-        sends = self.sends
-        list.append(sends, op)  # the builders' hot path: no wrapper call
-        sends.version += 1
-        return op
-
-    def extend(self, ops: Iterable[SendOp]) -> None:
-        self.sends.extend(ops)
-
     # -- derived views (cached) ------------------------------------------
 
-    def sorted_sends(self) -> list[SendOp]:
-        """Sends in replay order ``(time, src, dst)`` (cached; read-only)."""
-        sends = self.sends
-        if self._sorted is None or self._sorted_at != sends.version:
-            self._sorted = sorted(sends, key=_chronological)
-            self._sorted_at = sends.version
+    def sorted_sends(self) -> tuple[SendOp, ...]:
+        """Sends in replay order ``(time, src, dst)`` (cached)."""
+        if self._sorted is None:
+            self._sorted = tuple(sorted(self.sends, key=_chronological))
         return self._sorted
 
     # -- queries ---------------------------------------------------------
@@ -462,7 +389,8 @@ class Schedule:
             and self.source_items == other.source_items
         )
 
-    # mutable container, like the previous dataclass
+    # compared by value, never hashed: plans are keyed by their content
+    # hash (repro.serve.keys), not by the object
     __hash__ = None  # type: ignore[assignment]
 
     def __getstate__(self) -> dict[str, Any]:

@@ -283,8 +283,9 @@ def schedule_from_json(text: str) -> Schedule:
         from repro.machine.model import machine_from_doc
 
         machine = machine_from_doc(payload["machine"])
-    schedule = Schedule(
+    return Schedule(
         params=params,
+        sends=[_send_from_row(i, row) for i, row in enumerate(payload["sends"])],
         initial={
             proc: {_decode_item(item) for item in items}
             for proc, items in payload["initial"]
@@ -294,11 +295,21 @@ def schedule_from_json(text: str) -> Schedule:
         },
         machine=machine,
     )
-    schedule.extend(
-        SendOp(time=time, src=src, dst=dst, item=_decode_item(item))
-        for time, src, dst, item in payload["sends"]
-    )
-    return schedule
+
+
+def _send_from_row(index: int, row: Any) -> SendOp:
+    """One ``[time, src, dst, item]`` send row, or a ``ValueError`` naming it."""
+    if not isinstance(row, list) or len(row) != 4:
+        raise ValueError(
+            f"sends[{index}]: expected [time, src, dst, item], got {row!r}"
+        )
+    time, src, dst, item = row
+    for field, value in (("time", time), ("src", src), ("dst", dst)):
+        if type(value) is not int:
+            raise ValueError(
+                f"sends[{index}]: {field} must be an integer, got {value!r}"
+            )
+    return SendOp(time, src, dst, _decode_item(item))
 
 
 def dump_schedule(schedule: Schedule, path: str) -> None:

@@ -1,7 +1,7 @@
 """Vectorized (numpy) LogP legality checking: the one legality kernel.
 
-:func:`violations_np` checks causality, self-send, send gap, receive
-gap, overhead exclusivity and per-endpoint capacity over the
+:func:`violations_np` checks rank range, causality, self-send, send
+gap, receive gap, overhead exclusivity and per-endpoint capacity over the
 schedule's struct-of-arrays columns
 (:class:`repro.schedule.analysis_np.ScheduleColumns`) instead of
 per-op Python loops.  A flat machine is the one-level case of the
@@ -17,8 +17,8 @@ strings as a multiset.  At the P=256 all-to-all scale (65,280 sends)
 the kernel is roughly 7-8x faster than that oracle (see
 ``BENCH_PR1.json``).
 
-:func:`violations_np_implicit` streams the causality and gap checks
-over an implicit plan's chunks.
+:func:`violations_np_implicit` streams the rank-range, causality and
+gap checks over an implicit plan's chunks.
 """
 
 from __future__ import annotations
@@ -68,6 +68,17 @@ def _format_causality(
             )
         if selfsend[i]:
             problems.append(f"self-send: proc {src} at t={t}")
+
+
+def _out_of_range(cols: ScheduleColumns, P: int, problems: list[str]) -> None:
+    """One string per endpoint of a send outside the ranks ``[0, P)``."""
+    for role, procs in (("sends", cols.srcs), ("receives", cols.dsts)):
+        bad = (procs < 0) | (procs >= P)
+        for i in np.flatnonzero(bad).tolist():
+            problems.append(
+                f"rank out of range: proc {int(procs[i])} {role} at "
+                f"t={int(cols.times[i])} but P={P}"
+            )
 
 
 def _causality(
@@ -153,20 +164,23 @@ def violations_np(schedule: Schedule) -> list[str]:
     priced with that level's ``(L, o, g)`` — a node leader may drive
     its inter-node NIC and its intra-node bus in the same cycle.
     Causality and self-send are global and consume the per-edge
-    ``cols.arrivals``; on a fault-masked machine any send touching a
-    dead rank is illegal outright.
+    ``cols.arrivals``; a send from or to a rank outside ``[0, P)`` is
+    illegal outright, and so, on a fault-masked machine, is any send
+    touching a dead rank.
     """
     problems: list[str] = []
     cols = columns(schedule)
     if len(cols.times) == 0:
         return problems
     machine = schedule.machine or FlatMachine(schedule.params)
+    _out_of_range(cols, schedule.params.P, problems)
     _causality(schedule, cols, problems)
 
     alive = machine.alive_np()
     if len(alive) < machine.num_procs:
         for role, procs in (("sends", cols.srcs), ("receives", cols.dsts)):
-            bad = ~np.isin(procs, alive)
+            # a rank outside [0, P) is reported out of range, not dead
+            bad = (procs >= 0) & (procs < machine.num_procs) & ~np.isin(procs, alive)
             for i in np.flatnonzero(bad).tolist():
                 problems.append(
                     f"dead rank: proc {int(procs[i])} {role} at "
@@ -238,9 +252,11 @@ def violations_np_implicit(
 
     Runs, in memory bounded by ``max_sends`` and never by ``P``:
 
-    * **causality** (exact): each edge's send time against the sender's
-      closed-form hold time (``ChunkFacts.send_avail``), plus self-sends
-      — same strings as :func:`violations_np`;
+    * **rank range and causality** (exact): each endpoint against
+      ``[0, P)`` (a remap may target larger labels), and each edge's send
+      time against the sender's closed-form hold time
+      (``ChunkFacts.send_avail``), plus self-sends — same strings as
+      :func:`violations_np`;
     * **send gap / receive gap** (chunk-local): adjacency within each
       streamed block.  Every report is a genuine violation (two
       same-endpoint events < ``g`` apart stay < ``g`` apart globally),
@@ -260,6 +276,7 @@ def violations_np_implicit(
         hi = min(lo + max_sends, implicit.num_sends)
         facts = implicit.chunk_with_facts(lo, hi)
         cols = facts.cols
+        _out_of_range(cols, params.P, problems)
         _format_causality(
             cols, facts.send_avail, cols.times < facts.send_avail, None, problems
         )

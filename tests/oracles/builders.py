@@ -17,7 +17,7 @@ from repro.core.combining import combining_time
 from repro.core.fib import fib
 from repro.core.tree import BroadcastTree
 from repro.params import LogPParams, postal
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 from tests.oracles.tree import optimal_tree_heap
 
 
@@ -30,20 +30,21 @@ def schedule_from_tree_objects(
     """Oracle for :func:`repro.core.single_item.schedule_from_tree`."""
     g = tree.params.g
     proc = (lambda i: i) if proc_map is None else (lambda i: proc_map[i])
-    schedule = Schedule(
+    return Schedule(
         params=tree.params,
-        initial={proc(0): {item}},
-        source_items={item: start_time},
-    )
-    for node in tree.nodes:
-        for j, child in enumerate(node.children):
-            schedule.add(
+        sends=[
+            SendOp(
                 time=start_time + node.delay + j * g,
                 src=proc(node.index),
                 dst=proc(child),
                 item=item,
             )
-    return schedule
+            for node in tree.nodes
+            for j, child in enumerate(node.children)
+        ],
+        initial={proc(0): {item}},
+        source_items={item: start_time},
+    )
 
 
 def optimal_broadcast_schedule_objects(params: LogPParams) -> Schedule:
@@ -61,11 +62,15 @@ def all_to_all_schedule_objects(
     if orders is None:
         orders = [[(i + d) % P for d in range(1, P)] for i in range(P)]
     gp = interleaving_gap(params)
-    schedule = Schedule(params=params, initial={i: {("a2a", i)} for i in range(P)})
-    for i in range(P):
-        for slot, dst in enumerate(orders[i]):
-            schedule.add(time=slot * gp, src=i, dst=dst, item=("a2a", i))
-    return schedule
+    return Schedule(
+        params=params,
+        sends=[
+            SendOp(time=slot * gp, src=i, dst=dst, item=("a2a", i))
+            for i in range(P)
+            for slot, dst in enumerate(orders[i])
+        ],
+        initial={i: {("a2a", i)} for i in range(P)},
+    )
 
 
 def all_to_all_personalized_schedule_objects(params: LogPParams) -> Schedule:
@@ -74,50 +79,52 @@ def all_to_all_personalized_schedule_objects(params: LogPParams) -> Schedule:
     P = params.P
     initial = {i: {("p2p", i, j) for j in range(P) if j != i} for i in range(P)}
     gp = interleaving_gap(params)
-    schedule = Schedule(params=params, initial=initial)
+    sends = []
     for i in range(P):
         for slot in range(P - 1):
             dst = (i + 1 + slot) % P
-            schedule.add(time=slot * gp, src=i, dst=dst, item=("p2p", i, dst))
-    return schedule
+            sends.append(SendOp(time=slot * gp, src=i, dst=dst, item=("p2p", i, dst)))
+    return Schedule(params=params, sends=sends, initial=initial)
 
 
 def k_item_all_to_all_schedule_objects(params: LogPParams, k: int) -> Schedule:
     """Oracle for :func:`repro.core.all_to_all.k_item_all_to_all_schedule`."""
     P = params.P
     initial = {i: {("a2a", i, copy) for copy in range(k)} for i in range(P)}
-    schedule = Schedule(params=params, initial=initial)
     if P < 2:
-        return schedule
+        return Schedule(params=params, initial=initial)
     gp = interleaving_gap(params)
+    sends = []
     for copy in range(k):
         base = copy * (P - 1) * gp
         for i in range(P):
             for slot in range(P - 1):
                 dst = (i + 1 + slot) % P
-                schedule.add(
-                    time=base + slot * gp, src=i, dst=dst, item=("a2a", i, copy)
-                )
-    return schedule
+                item = ("a2a", i, copy)
+                sends.append(SendOp(time=base + slot * gp, src=i, dst=dst, item=item))
+    return Schedule(params=params, sends=sends, initial=initial)
 
 
 def combining_schedule_objects(T: int, L: int) -> Schedule:
     """Oracle for :func:`repro.core.combining.combining_schedule`: the
-    Theorem 4.1 sends emitted step by step, one ``add`` per send."""
+    Theorem 4.1 sends emitted step by step, one ``SendOp`` per send."""
     if T < L:
         raise ValueError(f"need T >= L, got T={T}, L={L}")
     P = fib(L, T)
-    schedule = Schedule(
+    sends = []
+    for j in range(0, T - L + 1):
+        stride = fib(L, j + L - 1)
+        for i in range(P):
+            sends.append(
+                SendOp(time=j, src=i, dst=(i + stride) % P, item=("partial", i, j))
+            )
+    return Schedule(
         params=postal(P=P, L=L),
+        sends=sends,
         initial={
             i: {("partial", i, j) for j in range(0, T - L + 1)} for i in range(P)
         },
     )
-    for j in range(0, T - L + 1):
-        stride = fib(L, j + L - 1)
-        for i in range(P):
-            schedule.add(time=j, src=i, dst=(i + stride) % P, item=("partial", i, j))
-    return schedule
 
 
 def allreduce_schedule_objects(params: LogPParams) -> Schedule:

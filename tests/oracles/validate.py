@@ -1,9 +1,9 @@
 """The scalar LogP legality checker: oracle for
 :func:`repro.sim.validate.violations` on flat machines.
 
-Walks the sends check by check (causality, self-send, send gap,
-receive gap, overhead exclusivity, capacity) and must report exactly
-the kernel's violation strings, as a multiset.
+Walks the sends check by check (rank range, causality, self-send,
+send gap, receive gap, overhead exclusivity, capacity) and must report
+exactly the kernel's violation strings, as a multiset.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def violations_objects(schedule: Schedule) -> list[str]:
     """All LogP-model violations in a flat-machine ``schedule``."""
     params = schedule.params
     problems: list[str] = []
+
+    # Rank range: every endpoint must be a rank in [0, P).
+    for role, attr in (("sends", "src"), ("receives", "dst")):
+        for op in schedule.sends:
+            proc = getattr(op, attr)
+            if not 0 <= proc < params.P:
+                problems.append(
+                    f"rank out of range: proc {proc} {role} at t={op.time} "
+                    f"but P={params.P}"
+                )
 
     avail = availability_objects(schedule)
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -211,6 +213,30 @@ class TestLintCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"repro: error: {path}: malformed JSON")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0, 1, 2], "sends[1]: expected [time, src, dst, item], got [0, 1, 2]"),
+            (["x", 0, 2, 0], "sends[1]: time must be an integer, got 'x'"),
+        ],
+        ids=["three-fields", "text-time"],
+    )
+    def test_lint_malformed_send_row_names_the_row(
+        self, tmp_path, capsys, row, message
+    ):
+        from repro.core.single_item import optimal_broadcast_schedule
+        from repro.params import LogPParams
+        from repro.schedule.serialize import schedule_to_json
+
+        doc = json.loads(
+            schedule_to_json(optimal_broadcast_schedule(LogPParams(P=8, L=6, o=2, g=4)))
+        )
+        doc["sends"][1] = row
+        path = tmp_path / "bad_row.json"
+        path.write_text(json.dumps(doc))
+        assert main(["lint", str(path)]) == 2
+        assert capsys.readouterr().err == f"repro: error: {message}\n"
 
     def test_lint_missing_file_one_line_diagnostic(self, tmp_path, capsys):
         path = tmp_path / "nope.json"

@@ -24,7 +24,7 @@ from repro.core.all_to_all import (
 )
 from repro.params import LogPParams, postal
 from repro.schedule.columnar import ItemTable
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 from repro.schedule.serialize import schedule_from_json, schedule_to_json
 from repro.sim.validate_np import violations_np
 
@@ -68,9 +68,14 @@ def _twin_schedules(draw):
         for _ in range(n_sends)
     ]
 
-    obj = Schedule(params=params, initial={p: set(s) for p, s in initial.items()})
-    for t, src, dst, idx in rows:
-        obj.add(time=t, src=src, dst=dst, item=_ITEM_POOL[idx])
+    obj = Schedule(
+        params=params,
+        sends=[
+            SendOp(time=t, src=src, dst=dst, item=_ITEM_POOL[idx])
+            for t, src, dst, idx in rows
+        ],
+        initial={p: set(s) for p, s in initial.items()},
+    )
 
     # intern the pool in a drawn permutation so the array twin's codes
     # differ from the object twin's encounter order

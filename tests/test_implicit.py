@@ -431,6 +431,24 @@ class TestChunkedValidator:
         assert set(chunked) <= set(materialized)
         assert any("gap" in v for v in chunked)
 
+    @pytest.mark.parametrize("max_sends", [1, 3, 100])
+    def test_remap_past_the_last_rank_matches_materialized(self, max_sends):
+        # a remap may target labels >= P; both validators name each such
+        # endpoint with the same string
+        impl = implicit_broadcast(FIG1).remapped({1: 20, 5: 11})
+        chunked = violations_np_implicit(impl, max_sends=max_sends)
+        materialized = violations_np(impl.materialize())
+        out_of_range = [v for v in materialized if v.startswith("rank out of range")]
+        assert sorted(v for v in chunked if v.startswith("rank out of range")) == (
+            sorted(out_of_range)
+        )
+        assert sorted(out_of_range) == [
+            "rank out of range: proc 11 receives at t=12 but P=8",
+            "rank out of range: proc 20 receives at t=0 but P=8",
+            "rank out of range: proc 20 sends at t=10 but P=8",
+            "rank out of range: proc 20 sends at t=14 but P=8",
+        ]
+
     def test_causality_violation_string_matches(self):
         impl = ImplicitSchedule(EarlyFamily(LogPParams(P=4, L=1, o=0, g=2)))
         chunked = violations_np_implicit(impl, max_sends=2)

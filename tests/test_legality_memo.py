@@ -3,10 +3,11 @@
 The availability table, the sender/destination hold times and the
 kernel's verdict are computed once per schedule object and shared by
 the passes, lint and exec verification.  These tests pin the counts on
-the run-mp request mix, the invalidation rules (every edit of the send
-list drops the memo) and the read-only inputs that make the memo sound.
+the run-mp request mix and what makes the memo sound: a schedule never
+changes (every former edit path raises) and its inputs are read-only.
 """
 
+import operator
 import pickle
 import random
 
@@ -30,7 +31,7 @@ from repro.machine import heal_columns
 from repro.machine.model import machine_from_spec
 from repro.params import LogPParams, postal
 from repro.passes import PassManager, make_pass
-from repro.schedule.ops import Schedule, SendOp
+from repro.schedule.ops import ComputeOp, Schedule, SendOp
 from repro.sim.validate import violations
 
 from tests.oracles.serialize import delivered_json_dumps
@@ -131,10 +132,14 @@ class TestLintFacts:
                 fact[0] = 1
 
     def test_an_edit_drops_the_lint_facts(self):
+        # an edited plan is a new schedule with lint facts of its own
         s = _four_kind_plan()
         assert lint_context.LintContext(s).participants.tolist() == [0, 1, 2, 3]
-        s.sends = [op for op in s.sends if op.dst != 3]
-        assert lint_context.LintContext(s).participants.tolist() == [0, 1, 2]
+        edited = Schedule(
+            s.params, sends=[op for op in s.sends if op.dst != 3], initial=s.initial
+        )
+        assert lint_context.LintContext(edited).participants.tolist() == [0, 1, 2]
+        assert lint_context.LintContext(s).participants.tolist() == [0, 1, 2, 3]
 
 
 def _four_kind_plan() -> Schedule:
@@ -153,42 +158,70 @@ def _twin(schedule: Schedule) -> Schedule:
 
 
 class TestInvalidation:
+    """A schedule never changes, so nothing ever invalidates its memo.
+
+    Each path that used to edit a plan in place raises, and the memo
+    survives it; an edited plan is a new schedule with its own memo.
+    """
+
     def test_in_place_edit_of_equal_length_invalidates(self):
+        # an equal-length edit must not leave the memo describing other
+        # sends: it is refused, and the edited plan is judged on its own
         s = _four_kind_plan()
         assert violations(s) == []
         table = analysis_np.availability_arrays(s)
-        s.sends[1] = SendOp(0, 2, 1, 0)
-        fresh = violations(_twin(s))
+        with pytest.raises(TypeError):
+            s.sends[1] = SendOp(0, 2, 1, 0)
+        assert analysis_np.availability_arrays(s) is table
+        edited = list(s.sends)
+        edited[1] = SendOp(0, 2, 1, 0)
+        fresh = violations(Schedule(s.params, sends=edited, initial=s.initial))
         assert [v.split(":")[0] for v in fresh] == [
             "causality",
             "receive gap",
             "overhead overlap",
             "capacity",
         ]
-        assert violations(s) == fresh
-        assert analysis_np.availability_arrays(s) is not table
+        assert violations(s) == []
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, error",
         [
-            lambda s: s.add(0, 2, 1),
-            lambda s: s.extend([SendOp(0, 2, 1, 0)]),
-            lambda s: setattr(s, "sends", [*s.sends, SendOp(0, 2, 1, 0)]),
-            lambda s: s.sends.insert(0, SendOp(0, 2, 1, 0)),
-            lambda s: s.sends.__setitem__(1, SendOp(0, 2, 1, 0)),
+            (lambda s: s.add(0, 2, 1), AttributeError),
+            (lambda s: s.extend([SendOp(0, 2, 1, 0)]), AttributeError),
+            (
+                lambda s: setattr(s, "sends", [*s.sends, SendOp(0, 2, 1, 0)]),
+                AttributeError,
+            ),
+            (lambda s: s.sends.insert(0, SendOp(0, 2, 1, 0)), AttributeError),
+            (lambda s: operator.setitem(s.sends, 1, SendOp(0, 2, 1, 0)), TypeError),
+            (lambda s: s.sends.append(SendOp(0, 2, 1, 0)), AttributeError),
+            (lambda s: s.computes.append(ComputeOp(0, 0)), AttributeError),
+            (lambda s: setattr(s, "computes", [ComputeOp(0, 0)]), AttributeError),
         ],
-        ids=["add", "extend", "setter", "insert", "setitem"],
+        ids=[
+            "add",
+            "extend",
+            "setter",
+            "insert",
+            "setitem",
+            "append",
+            "computes",
+            "computes-setter",
+        ],
     )
-    def test_every_send_list_edit_drops_the_memo(self, edit):
+    def test_every_send_list_edit_drops_the_memo(self, edit, error):
         s = _four_kind_plan()
         table = analysis_np.availability_arrays(s)
         holds = analysis_np.sender_hold_times(s)
         assert analysis_np.availability_arrays(s) is table  # memo hit
         assert violations(s) == []
-        edit(s)
-        assert analysis_np.availability_arrays(s) is not table
-        assert analysis_np.sender_hold_times(s) is not holds
-        assert violations(s) == violations(_twin(s)) != []
+        with pytest.raises(error):
+            edit(s)
+        assert analysis_np.availability_arrays(s) is table
+        assert analysis_np.sender_hold_times(s) is holds
+        assert s.num_sends == 3 and s.computes == ()
+        assert violations(s) == violations(_twin(s)) == []
 
     def test_memo_is_per_object(self):
         s = _four_kind_plan()
@@ -199,10 +232,11 @@ class TestInvalidation:
 
     def test_external_append_still_detected(self):
         s = _four_kind_plan()
-        s.columns()
-        s.sends.append(SendOp(20, 0, 3, 0))
-        assert len(s.columns()) == 4
-        assert violations(s) == violations(_twin(s))
+        cols = s.columns()
+        with pytest.raises(AttributeError):
+            s.sends.append(SendOp(20, 0, 3, 0))
+        assert s.columns() is cols
+        assert len(cols) == 3
 
 
 class TestReadOnlyInputs:
@@ -232,7 +266,7 @@ class TestReadOnlyInputs:
             s.initial[0].add("b")
         with pytest.raises(TypeError):
             s.source_items["a"] = 5
-        for name in ("initial", "source_items", "machine", "params"):
+        for name in ("initial", "source_items", "machine", "params", "sends", "computes"):
             with pytest.raises(AttributeError):
                 setattr(s, name, None)
 
@@ -240,16 +274,23 @@ class TestReadOnlyInputs:
         initial = {0: {"a"}}
         sources = {"a": 0}
         sends = [SendOp(0, 0, 1, "a")]
+        computes = [ComputeOp(0, 0)]
         s = Schedule(
-            postal(P=3, L=2), sends=sends, initial=initial, source_items=sources
+            postal(P=3, L=2),
+            sends=sends,
+            initial=initial,
+            computes=computes,
+            source_items=sources,
         )
         initial[0].add("b")
         initial[2] = {"c"}
         sources["a"] = 7
         sends.append(SendOp(1, 0, 2, "a"))
+        computes.append(ComputeOp(1, 0))
         assert s.initial == {0: {"a"}}
         assert s.source_items == {"a": 0}
         assert s.num_sends == 1
+        assert s.computes == (ComputeOp(0, 0),)
 
     def test_schedule_pickles(self):
         s = registry.plan("reduction", P=6, L=4, o=1, g=2)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.single_item import optimal_broadcast_schedule
 from repro.params import postal
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 from repro.sim.validate import replay
 
 
@@ -14,7 +14,9 @@ class TestReplay:
         assert trace.horizon() == 24
 
     def test_replay_rejects_illegal(self):
-        s = Schedule(params=postal(P=3, L=2))
-        s.add(time=0, src=1, dst=2, item=0)
+        s = Schedule(
+            params=postal(P=3, L=2),
+            sends=[SendOp(time=0, src=1, dst=2, item=0)],
+        )
         with pytest.raises(ValueError):
             replay(s)

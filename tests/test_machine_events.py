@@ -18,7 +18,7 @@ import pytest
 from repro.core.fib import broadcast_time
 from repro.params import LogPParams
 from repro.schedule.analysis import broadcast_delay_per_proc
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 from repro.sim.validate import replay
 
 CORPUS = Path(__file__).parent / "data" / "machine_corpus.json"
@@ -30,16 +30,17 @@ def _load_corpus():
 
 def _rebuild(case) -> Schedule:
     """The recorded schedule, item reprs parsed back to items."""
-    schedule = Schedule(
+    return Schedule(
         params=LogPParams(*case["params"]),
+        sends=[
+            SendOp(time=t, src=src, dst=dst, item=ast.literal_eval(item))
+            for t, src, dst, item in case["sends"]
+        ],
         initial={
             int(p): {ast.literal_eval(item) for item in items}
             for p, items in case["initial"].items()
         },
     )
-    for t, src, dst, item in case["sends"]:
-        schedule.add(time=t, src=src, dst=dst, item=ast.literal_eval(item))
-    return schedule
 
 
 @pytest.mark.parametrize("case", _load_corpus(), ids=lambda c: c["name"])

@@ -311,9 +311,8 @@ class TestPassManager:
     def test_reverse_keeps_an_explicitly_empty_placement(self, sends):
         from repro.passes.kernels import reverse_columns
 
-        s = Schedule(params=postal(P=2, L=1), initial={0: {"x"}})
-        if sends:
-            s.add(0, 0, 1, item="x")
+        rows = [SendOp(0, 0, 1, item="x")] if sends else []
+        s = Schedule(params=postal(P=2, L=1), sends=rows, initial={0: {"x"}})
         assert reverse_columns(s, initial={}).initial == {}
         assert reverse_columns(s, initial=None).initial != {}
 

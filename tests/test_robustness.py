@@ -11,7 +11,7 @@ from repro.experiments.robustness import (
     tree_structure,
 )
 from repro.params import LogPParams, postal
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 
 
 class TestTreeStructure:
@@ -28,9 +28,7 @@ class TestTreeStructure:
         assert [e.rank for e in root_edges] == list(range(len(root_edges)))
 
     def test_rejects_non_tree(self):
-        s = Schedule(params=postal(P=3, L=2))
-        s.add(0, 0, 1)
-        s.add(3, 0, 1)
+        s = Schedule(params=postal(P=3, L=2), sends=[SendOp(0, 0, 1), SendOp(3, 0, 1)])
         with pytest.raises(ValueError):
             tree_structure(s)
 

@@ -41,31 +41,33 @@ class TestSchedule:
         assert s.initial == {}
 
     def test_add_and_iter(self):
-        s = Schedule(params=postal(P=3, L=1))
-        s.add(2, 0, 1, item=0)
-        s.add(0, 0, 2, item=0)
+        s = Schedule(
+            params=postal(P=3, L=1),
+            sends=[SendOp(2, 0, 1, item=0), SendOp(0, 0, 2, item=0)],
+        )
         assert [op.time for op in s] == [0, 2]
         assert len(s) == 2
 
     def test_sends_by_proc_sorted(self):
-        s = Schedule(params=postal(P=3, L=2))
-        s.add(4, 0, 1)
-        s.add(0, 0, 2)
-        s.add(1, 1, 2)
+        s = Schedule(
+            params=postal(P=3, L=2),
+            sends=[SendOp(4, 0, 1), SendOp(0, 0, 2), SendOp(1, 1, 2)],
+        )
         by = sends_by_proc(s)
         assert [op.time for op in by[0]] == [0, 4]
         assert [op.time for op in by[1]] == [1]
 
     def test_receives_by_proc_ordered_by_arrival(self):
-        s = Schedule(params=postal(P=3, L=5))
-        s.add(3, 0, 2)
-        s.add(0, 1, 2)
+        s = Schedule(params=postal(P=3, L=5), sends=[SendOp(3, 0, 2), SendOp(0, 1, 2)])
         by = receives_by_proc(s)
         assert [op.src for op in by[2]] == [1, 0]
 
     def test_items_and_processors(self):
-        s = Schedule(params=postal(P=4, L=1), initial={0: {"a", "b"}})
-        s.add(0, 0, 3, item="a")
+        s = Schedule(
+            params=postal(P=4, L=1),
+            initial={0: {"a", "b"}},
+            sends=[SendOp(0, 0, 3, item="a")],
+        )
         assert s.items() == {"a", "b"}
         assert s.processors() == {0, 3}
 
@@ -75,8 +77,13 @@ class TestSchedule:
         assert s.item_creation_time(0) == 0
 
     def test_extend(self):
-        s = Schedule(params=postal(P=3, L=1))
-        s.extend([SendOp(time=0, src=0, dst=1), SendOp(time=1, src=0, dst=2)])
+        # a schedule is built once: there is no extend, and the sends
+        # given to the constructor are kept as a tuple
+        rows = [SendOp(time=0, src=0, dst=1), SendOp(time=1, src=0, dst=2)]
+        s = Schedule(params=postal(P=3, L=1), sends=rows)
+        assert s.sends == tuple(rows)
+        with pytest.raises(AttributeError):
+            s.extend([SendOp(time=2, src=0, dst=1)])
         assert len(s) == 2
 
 

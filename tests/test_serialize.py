@@ -70,6 +70,24 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unsupported format"):
             schedule_from_json('{"format": "something-else"}')
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ([0, 1, 2], r"sends\[1\]: expected \[time, src, dst, item\], got \[0, 1, 2\]"),
+            ({"t": 0}, r"sends\[1\]: expected \[time, src, dst, item\]"),
+            (["x", 0, 2, 0], r"sends\[1\]: time must be an integer, got 'x'"),
+            ([1.5, 0, 2, 0], r"sends\[1\]: time must be an integer, got 1.5"),
+            ([0, "0", 2, 0], r"sends\[1\]: src must be an integer, got '0'"),
+            ([0, 0, True, 0], r"sends\[1\]: dst must be an integer, got True"),
+        ],
+        ids=["three-fields", "object", "text-time", "float-time", "text-src", "bool-dst"],
+    )
+    def test_malformed_send_row_is_named(self, row, message):
+        doc = json.loads(schedule_to_json(optimal_broadcast_schedule(postal(P=5, L=2))))
+        doc["sends"][1] = row
+        with pytest.raises(ValueError, match=message):
+            schedule_from_json(json.dumps(doc))
+
     def test_unserializable_item_rejected(self):
         from repro.schedule.ops import Schedule
 
@@ -94,13 +112,13 @@ class TestSerializeProperty:
         check()
 
     def test_frozenset_items(self):
-        from repro.schedule.ops import Schedule
+        from repro.schedule.ops import Schedule, SendOp
 
         s = Schedule(
             params=postal(P=3, L=2),
+            sends=[SendOp(0, 0, 1, item=frozenset({1, 2}))],
             initial={0: {frozenset({1, 2})}},
         )
-        s.add(0, 0, 1, item=frozenset({1, 2}))
         r = roundtrip(s)
         assert r.initial == s.initial
 
@@ -196,7 +214,7 @@ class TestCanonicalWriter:
         assert delivered_json(params, triples) == delivered_json_dumps(params, triples)
 
     def test_emitter_matches_oracle_on_odd_items(self):
-        from repro.schedule.ops import Schedule
+        from repro.schedule.ops import Schedule, SendOp
 
         items = [
             "é\"\\",
@@ -212,12 +230,13 @@ class TestCanonicalWriter:
         ]
         s = Schedule(
             params=postal(P=3, L=2),
+            # negative send times too
+            sends=[
+                SendOp(i - 3, 0, 1 + i % 2, item=item) for i, item in enumerate(items)
+            ],
             initial={0: set(items), 2: {7}, 1: {"%d"}},
             source_items={items[1]: 0, items[2]: 4, items[5]: 2, "%d": -1},
         )
-        for i, item in enumerate(items):
-            # negative send times too
-            s.add(i - 3, 0, 1 + i % 2, item=item)
         empty = Schedule(
             params=postal(P=2, L=2),
             initial={0: {("%s", True)}, 1: set()},

@@ -10,13 +10,18 @@ multiset.
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import registry
 from repro.core.all_to_all import all_to_all_schedule, k_item_all_to_all_schedule
 from repro.core.single_item import optimal_broadcast_schedule
+from repro.exec import execute
+from repro.machine import heal_columns
+from repro.machine.model import machine_from_spec
 from repro.params import LogPParams, postal
-from repro.schedule.ops import Schedule
+from repro.schedule.ops import Schedule, SendOp
 from repro.sim.validate import violations
 from repro.sim.validate_np import violations_np
 
@@ -44,16 +49,17 @@ def _hostile_schedules(draw):
     for item in range(n_items):
         if draw(st.booleans()):
             initial.setdefault(draw(st.integers(0, params.P - 1)), set()).add(item)
-    schedule = Schedule(params=params, initial=initial or {0: {0}})
     n_sends = draw(st.integers(0, 12))
-    for _ in range(n_sends):
-        schedule.add(
+    sends = [
+        SendOp(
             time=draw(st.integers(0, 15)),
             src=draw(st.integers(0, params.P - 1)),
             dst=draw(st.integers(0, params.P - 1)),
             item=draw(st.integers(0, n_items - 1)),
         )
-    return schedule
+        for _ in range(n_sends)
+    ]
+    return Schedule(params=params, sends=sends, initial=initial or {0: {0}})
 
 
 class TestFuzzedAgreement:
@@ -92,9 +98,16 @@ class TestDispatch:
         assert violations(schedule) == violations_objects(schedule) == []
 
     def test_large_corrupted_schedule_same_messages(self):
-        schedule = all_to_all_schedule(postal(P=48, L=4))
-        schedule.add(time=0, src=1, dst=1, item=("a2a", 1))  # self-send
-        schedule.add(time=0, src=2, dst=3, item=("a2a", 5))  # causality
+        clean = all_to_all_schedule(postal(P=48, L=4))
+        schedule = Schedule(
+            params=clean.params,
+            sends=[
+                *clean.sends,
+                SendOp(time=0, src=1, dst=1, item=("a2a", 1)),  # self-send
+                SendOp(time=0, src=2, dst=3, item=("a2a", 5)),  # causality
+            ],
+            initial=clean.initial,
+        )
         auto = violations(schedule)
         scalar = violations_objects(schedule)
         assert Counter(auto) == Counter(scalar)
@@ -109,34 +122,104 @@ class TestTargetedParity:
     """One deterministic case per violation family (message-exact)."""
 
     def test_never_held(self):
-        s = Schedule(params=postal(P=3, L=2))
-        s.add(time=0, src=1, dst=2, item=0)
+        s = Schedule(
+            params=postal(P=3, L=2),
+            sends=[SendOp(time=0, src=1, dst=2, item=0)],
+        )
         assert_agree(s)
 
     def test_held_too_late(self):
-        s = Schedule(params=postal(P=3, L=5))
-        s.add(time=0, src=0, dst=1, item=0)
-        s.add(time=3, src=1, dst=2, item=0)
+        s = Schedule(
+            params=postal(P=3, L=5),
+            sends=[
+                SendOp(time=0, src=0, dst=1, item=0),
+                SendOp(time=3, src=1, dst=2, item=0),
+            ],
+        )
         assert_agree(s)
 
     def test_send_and_receive_gaps(self):
         p = LogPParams(P=4, L=3, o=0, g=3)
-        s = Schedule(params=p, initial={0: {0}, 1: {1}})
-        s.add(time=0, src=0, dst=2, item=0)
-        s.add(time=1, src=0, dst=3, item=0)  # send gap
-        s.add(time=0, src=1, dst=2, item=1)  # receive gap at proc 2
+        s = Schedule(
+            params=p,
+            initial={0: {0}, 1: {1}},
+            sends=[
+                SendOp(time=0, src=0, dst=2, item=0),
+                SendOp(time=1, src=0, dst=3, item=0),  # send gap
+                SendOp(time=0, src=1, dst=2, item=1),  # receive gap at proc 2
+            ],
+        )
         assert_agree(s)
 
     def test_overhead_overlap(self):
         p = LogPParams(P=3, L=6, o=2, g=4)
-        s = Schedule(params=p, initial={0: {0}, 1: {1}})
-        s.add(time=0, src=0, dst=1, item=0)
-        s.add(time=9, src=1, dst=2, item=1)  # send during recv overhead
+        s = Schedule(
+            params=p,
+            initial={0: {0}, 1: {1}},
+            sends=[
+                SendOp(time=0, src=0, dst=1, item=0),
+                SendOp(time=9, src=1, dst=2, item=1),  # send during recv overhead
+            ],
+        )
         assert_agree(s)
 
     def test_capacity_overflow(self):
         p = LogPParams(P=5, L=3, o=0, g=1)
-        s = Schedule(params=p)
-        for i in range(1, 5):
-            s.add(time=0, src=0, dst=i, item=0)  # 4 in flight, cap = 3
+        # 4 in flight, cap = 3
+        s = Schedule(params=p, sends=[SendOp(0, 0, i, 0) for i in range(1, 5)])
         assert_agree(s)
+
+
+class TestRankRange:
+    """A send from or to a rank outside ``[0, P)`` is illegal outright."""
+
+    def _postal_plan(self, extra: SendOp) -> Schedule:
+        base = registry.plan("broadcast", P=3, L=2)
+        return Schedule(base.params, sends=[*base.sends, extra], initial=base.initial)
+
+    def test_flat_receiver_past_the_last_rank(self):
+        s = self._postal_plan(SendOp(2, 1, 9))
+        assert violations(s) == ["rank out of range: proc 9 receives at t=2 but P=3"]
+        assert_agree(s)
+
+    def test_negative_ranks_do_not_wrap(self):
+        s = self._postal_plan(SendOp(2, 1, -2))
+        assert violations(s) == ["rank out of range: proc -2 receives at t=2 but P=3"]
+        assert_agree(s)
+        sender = self._postal_plan(SendOp(4, -1, 2))
+        assert "rank out of range: proc -1 sends at t=4 but P=3" in violations(sender)
+
+    def test_hier_rank_past_the_machine(self):
+        machine = machine_from_spec("hier:8x5:6/2/4:1/0/1")
+        base = registry.plan("hier-bcast", machine=machine)
+        assert violations(base) == []
+        s = Schedule(
+            base.params,
+            sends=[*base.sends, SendOp(100, 0, 45)],
+            initial=base.initial,
+            machine=machine,
+        )
+        assert violations(s) == [
+            "rank out of range: proc 45 receives at t=100 but P=40"
+        ]
+
+    def test_fault_masked_rank_past_the_machine_is_reported_once(self):
+        machine = machine_from_spec("hier:6x6:12/1/2:2/0/1:dead=3+7")
+        base, _ = heal_columns(registry.plan("hier-bcast", machine=machine))
+        s = Schedule(
+            base.params,
+            sends=[*base.sends, SendOp(500, 0, 40), SendOp(502, 0, 3)],
+            initial=base.initial,
+            machine=machine,
+        )
+        assert violations(s) == [
+            "rank out of range: proc 40 receives at t=500 but P=36",
+            "dead rank: proc 3 receives at t=502 but is masked out",
+        ]
+
+    @pytest.mark.parametrize("transport", ["inproc", "mp"])
+    def test_execute_with_verification_refuses_the_plan(self, transport):
+        for dst in (9, -2):
+            with pytest.raises(ValueError, match="rank out of range"):
+                plan = self._postal_plan(SendOp(2, 1, dst))
+                execute(plan, transport=transport, verify=True)
